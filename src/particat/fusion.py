@@ -38,20 +38,19 @@ from .partition import (
     BLACK,
 )
 from .structure import (
-    MixingPartition,
+    _dominates,
     boxvert,
-    dominates,
     enumerate_mixing,
     equivalent,
     mix,
     square,
-    strictly_dominates,
     word_h,
     word_u,
 )
 from .categories import (
     CategorySpec,
     contains,
+    is_noncrossing_spec,
     projectives,
 )
 
@@ -72,7 +71,6 @@ __all__ = [
     "single_loop_semiring",
     "single_arc_semiring",
     "freeness_probe",
-    "conjugate_word",
     "LABELLED_IDS",
 ]
 
@@ -133,38 +131,66 @@ class FusionResult:
 # partition-level fusion
 
 
+def _check_projective_operands(p: Partition, q: Partition) -> None:
+    if not (is_projective(p) and is_projective(q)):
+        raise ValueError("fusion needs projective diagrams")
+
+
+def _dedupe_sorted(grafts) -> list[Partition]:
+    """Distinct grafts in first-seen order, then sorted by (t, serialization)."""
+    out = list(dict.fromkeys(grafts))
+    out.sort(key=lambda m: (stats(m).t, serialize(m)))
+    return out
+
+
 def fusion_candidates(p: Partition, q: Partition) -> list[Partition]:
     """All graftings of a mixing diagram between p and q, deduplicated.
 
     Complete over the mixing enumeration at (t(p), t(q)); every candidate is
     projective and dominated by the plain tensor product.
     """
-    if not (is_projective(p) and is_projective(q)):
-        raise ValueError("fusion needs projective diagrams")
-    seen = set()
-    out = []
-    for h in enumerate_mixing(stats(p).t, stats(q).t):
-        m = mix(p, q, h)
-        if m not in seen:
-            seen.add(m)
-            out.append(m)
-    out.sort(key=lambda m: (stats(m).t, serialize(m)))
-    return out
+    _check_projective_operands(p, q)
+    return _dedupe_sorted(
+        mix(p, q, h) for h in enumerate_mixing(stats(p).t, stats(q).t)
+    )
+
+
+def _nested_candidates(p: Partition, q: Partition) -> list[Partition]:
+    """The 2 min(t(p), t(q)) + 1 grafts of the nested mixing diagrams.
+
+    Through-blocks of a noncrossing projective never interleave, so every
+    other mixing diagram grafts to a crossing diagram; in a noncrossing
+    category these are therefore all the candidates that can belong.
+    """
+    _check_projective_operands(p, q)
+    depth = min(stats(p).t, stats(q).t)
+    return _dedupe_sorted(
+        [square(p, q, a) for a in range(depth + 1)]
+        + [boxvert(p, q, a) for a in range(1, depth + 1)]
+    )
 
 
 def fusion(spec: CategorySpec, p: Partition, q: Partition) -> FusionResult:
     """The fusion set inside the category: grafted candidates that belong.
+
+    In a noncrossing category (:func:`~particat.categories.is_noncrossing_spec`)
+    only the nested mixings, :func:`~particat.structure.square` and
+    :func:`~particat.structure.boxvert`, are grafted; any other graft
+    crosses and so cannot belong.  Crossing categories graft every mixing
+    diagram of :func:`fusion_candidates`, which raises
+    :class:`~particat.categories.BoundsExceededError` past
+    :data:`~particat.structure.MIXING_CAP` mixings.
 
     Membership of every candidate must be decidable; bounded generated
     categories raise on candidates beyond their bound rather than guessing.
     """
     if not (contains(spec, p) and contains(spec, q)):
         raise ValueError("both diagrams must belong to the category")
-    members = [
-        (m, stats(m).t)
-        for m in fusion_candidates(p, q)
-        if contains(spec, m)
-    ]
+    if is_noncrossing_spec(spec):
+        candidates = _nested_candidates(p, q)
+    else:
+        candidates = fusion_candidates(p, q)
+    members = [(m, stats(m).t) for m in candidates if contains(spec, m)]
     return FusionResult(tuple(members))
 
 
@@ -181,25 +207,26 @@ def fusion_brute_force(
     """
     if not (contains(spec, p) and contains(spec, q)):
         raise ValueError("both diagrams must belong to the category")
+    _check_projective_operands(p, q)
     a, b = p.upper, q.upper
     pq = tensor(p, q)
-    lowered_left = [
-        l for l in projectives(spec, a)
-        if (not p.colored or l.colors == p.colors) and strictly_dominates(p, l)
-    ]
-    lowered_right = [
-        r for r in projectives(spec, b)
-        if (not q.colored or r.colors == q.colors) and strictly_dominates(q, r)
+    # every diagram below is a projective member, so domination runs unchecked
+    lowered = [
+        tensor(l, q)
+        for l in projectives(spec, a)
+        if (not p.colored or l.colors == p.colors) and l != p and _dominates(p, l)
+    ] + [
+        tensor(p, r)
+        for r in projectives(spec, b)
+        if (not q.colored or r.colors == q.colors) and r != q and _dominates(q, r)
     ]
     out = []
     for m in projectives(spec, a + b):
         if m.colored and m.colors != pq.colors:
             continue
-        if not dominates(pq, m):
+        if not _dominates(pq, m):
             continue
-        if any(dominates(tensor(l, q), m) for l in lowered_left):
-            continue
-        if any(dominates(tensor(p, r), m) for r in lowered_right):
+        if any(_dominates(low, m) for low in lowered):
             continue
         out.append((m, stats(m).t))
     out.sort(key=lambda mt: (mt[1], serialize(mt[0])))
@@ -312,9 +339,6 @@ class FreeFusionSemiring:
     def conj(self, word: str) -> str:
         return "".join(self.conj_letter(x) for x in reversed(word))
 
-    def tensor_words(self, w: str, wp: str) -> list[str]:
-        return semiring_tensor(self, w, wp)
-
 
 def semiring_tensor(s: FreeFusionSemiring, w: str, wp: str) -> list[str]:
     """The word tensor product, as a multiset of words.
@@ -367,14 +391,6 @@ def single_arc_semiring() -> FreeFusionSemiring:
     return FreeFusionSemiring(("a",), (("a", "a"),), ())
 
 
-def conjugate_word(scheme: str, word: str) -> str:
-    if scheme == "H":
-        return z2_semiring().conj(word)
-    if scheme == "U":
-        return alternating_semiring().conj(word)
-    raise ValueError(f"no word conjugation for scheme {scheme!r}")
-
-
 # ---------------------------------------------------------------------------
 # labelled fusion in closed form
 
@@ -387,12 +403,11 @@ def labelled_fusion(
     S: all naturals from |k - l| to k + l.  O and B: the same range in steps
     of two.  H: the Z2-word semiring.  U: the alternating-word semiring.
     """
-    if scheme == "S":
+    if scheme in ("S", "O", "B"):
         k, l = int(left), int(right)
-        return list(range(abs(k - l), k + l + 1))
-    if scheme in ("O", "B"):
-        k, l = int(left), int(right)
-        return list(range(abs(k - l), k + l + 1, 2))
+        if k < 0 or l < 0:
+            raise ValueError("labels are nonnegative")
+        return list(range(abs(k - l), k + l + 1, 1 if scheme == "S" else 2))
     if scheme == "H":
         w, wp = str(left), str(right)
         if not (set(w) <= {"0", "1"} and set(wp) <= {"0", "1"}):
@@ -415,6 +430,8 @@ def decompose_power(spec: CategorySpec, k: int) -> list[dict]:
     serialization), all members, the through-block count, and the class
     label in the category's scheme.
     """
+    if k < 0:
+        raise ValueError("the tensor power must be nonnegative")
     members = projectives(spec, k)
     classes: list[list[Partition]] = []
     for p in members:

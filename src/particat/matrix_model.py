@@ -34,7 +34,7 @@ from .partition import (
     tensor,
 )
 from .structure import (
-    dominates,
+    _dominates,
     equivalent,
     p_sigma,
     strictly_dominates,
@@ -297,11 +297,12 @@ def _check_member_projective(spec: CategorySpec, p: Partition) -> None:
 def _dominated_members(
     spec: CategorySpec, p: Partition
 ) -> list[Partition]:
+    """Projective members strictly below p, which the caller has checked."""
     pool = projectives(spec, p.upper)
     if p.colored:
         word = p.upper_colors()
         pool = [q for q in pool if q.upper_colors() == word]
-    return [q for q in pool if q != p and dominates(p, q)]
+    return [q for q in pool if q != p and _dominates(p, q)]
 
 
 def projection_matrix(

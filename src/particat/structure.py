@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from math import comb, factorial
 from typing import Iterable, Optional, Sequence, TYPE_CHECKING
 
 from .partition import (
@@ -40,6 +41,7 @@ from .partition import (
     stats,
     tensor,
 )
+from .categories import BoundsExceededError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .categories import CategorySpec
@@ -67,6 +69,7 @@ __all__ = [
     "upper_building",
     "compose_chain",
     "SYM_SEARCH_CAP",
+    "MIXING_CAP",
 ]
 
 Permutation = tuple[int, ...]
@@ -74,6 +77,10 @@ Permutation = tuple[int, ...]
 
 SYM_SEARCH_CAP = 8
 """Largest through-block count for which the full permutation search runs."""
+
+MIXING_CAP = 100_000
+"""Largest number of mixing diagrams :func:`enumerate_mixing` will build;
+(5, 5) has 19,091 and (6, 6) has 291,793."""
 
 
 @dataclass(frozen=True)
@@ -234,6 +241,13 @@ def _check_projective_pair(p: Partition, q: Partition) -> None:
 def dominates(p: Partition, q: Partition) -> bool:
     """True when pq = q (equivalently qp = q): q sits below p."""
     _check_projective_pair(p, q)
+    return _dominates(p, q)
+
+
+def _dominates(p: Partition, q: Partition) -> bool:
+    """:func:`dominates` for callers that already know p and q are
+    projective of one arity (members of ``projectives()`` or checked once
+    at entry), so inner loops skip the re-check."""
     return compose(p, q).partition == q
 
 
@@ -374,8 +388,15 @@ def enumerate_mixing(k: int, l: int) -> list[MixingPartition]:
     A mixing diagram is determined by a partial matching of left columns to
     right columns plus an open/closed flag per matched pair: open pairs give
     an upper pair and its mirrored lower pair, closed pairs give a quadruple,
-    and unmatched columns stay vertical.
+    and unmatched columns stay vertical.  Raises
+    :class:`~particat.categories.BoundsExceededError` before building
+    anything when there are more than :data:`MIXING_CAP` of them.
     """
+    count = _mixing_count(k, l)
+    if count > MIXING_CAP:
+        raise BoundsExceededError(
+            f"({k}, {l}) has {count} mixing diagrams, above the cap {MIXING_CAP}"
+        )
     out = []
     for m in range(min(k, l) + 1):
         for left in combinations(range(k), m):
@@ -388,6 +409,15 @@ def enumerate_mixing(k: int, l: int) -> list[MixingPartition]:
                             )
                         )
     return out
+
+
+def _mixing_count(k: int, l: int) -> int:
+    """Number of (k, l)-mixing diagrams: m matched pairs chosen on each
+    side, matched up in m! ways, each pair open or closed."""
+    return sum(
+        comb(k, m) * comb(l, m) * factorial(m) * 2**m
+        for m in range(min(k, l) + 1)
+    )
 
 
 def mix(p: Partition, q: Partition, h: MixingPartition) -> Partition:

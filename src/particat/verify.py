@@ -25,6 +25,7 @@ from .partition import (
     tensor,
 )
 from .structure import (
+    _dominates,
     dominates,
     enumerate_mixing,
     is_building,
@@ -114,36 +115,37 @@ def suite_structure(max_points: int = 8) -> dict:
             if st.beta != 2 * loops:
                 failures.append(f"loop count mismatch on {serialize(p)}")
 
-    # domination axioms over the full projective sets at half the bound
+    # domination axioms over the full projective sets at half the bound;
+    # all diagrams are projective members, so domination runs unchecked
     spec_all = CategorySpec.named("p")
     for k in range(0, max_points // 2 + 1):
         projs = projectives(spec_all, k)
         ident = None
         for p in projs:
             checks += 1
-            if not dominates(p, p):
+            if not _dominates(p, p):
                 failures.append(f"domination not reflexive at {serialize(p)}")
             if stats(p).t == k and p.upper == k and len(p.blocks) == k:
                 ident = p
         for p in projs:
             checks += 1
-            if ident is not None and not dominates(ident, p):
+            if ident is not None and not _dominates(ident, p):
                 failures.append(f"identity not maximal over {serialize(p)}")
         for p, q in combinations(projs, 2):
             checks += 1
-            if dominates(p, q) and dominates(q, p):
+            if _dominates(p, q) and _dominates(q, p):
                 failures.append(
                     f"antisymmetry fails on {serialize(p)}, {serialize(q)}"
                 )
         for p in projs:
             for q in projs:
-                if p is q or not dominates(p, q):
+                if p is q or not _dominates(p, q):
                     continue
                 for r in projs:
-                    if r is q or not dominates(q, r):
+                    if r is q or not _dominates(q, r):
                         continue
                     checks += 1
-                    if not dominates(p, r):
+                    if not _dominates(p, r):
                         failures.append(
                             "transitivity fails on "
                             f"{serialize(p)}, {serialize(q)}, {serialize(r)}"

@@ -23,6 +23,17 @@ def run_json(capsys, argv):
     return code, json.loads(out) if out else None
 
 
+def run_error(capsys, argv):
+    """Exit code of a failing request; it must print nothing on stdout and
+    one JSON error document on stderr."""
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    doc = json.loads(captured.err)
+    assert doc["schema"] == "particat/1" and doc["error"]
+    return code
+
+
 class TestFuse:
     def test_word_fusion_golden(self, capsys):
         code, doc = run_json(
@@ -64,6 +75,16 @@ class TestFuse:
         assert code == EXIT_OK
         # ordered by through-block count, then serialization
         assert doc["result"] == ["aa:bb", "aa:aa", "ab:ab"]
+
+    def test_negative_label_rejected(self, capsys):
+        argv = ["fuse", "--category", "nc", "--left", "-3", "--right", "2"]
+        assert run_error(capsys, argv) == EXIT_PARSE
+
+    def test_mixing_cap_exit(self, capsys):
+        # two 6-strand identities in p would need 291,793 mixing diagrams
+        six = "abcdef:abcdef"
+        argv = ["fuse", "--category", "p", "--left", six, "--right", six]
+        assert run_error(capsys, argv) == EXIT_BOUNDS
 
 
 class TestMember:
@@ -121,6 +142,10 @@ class TestDecompose:
         )
         assert code == EXIT_OK
         assert [row["label"] for row in doc["result"]] == ["", "0", "11"]
+
+    def test_negative_power_rejected(self, capsys):
+        argv = ["decompose", "--category", "nc", "--power", "-1"]
+        assert run_error(capsys, argv) == EXIT_PARSE
 
 
 class TestVerify:

@@ -4,11 +4,14 @@ from itertools import product
 
 import pytest
 
+from particat import fusion as fusion_module
+from particat import structure
 from particat.partition import (
     Partition,
     conjugate_colors,
     empty_partition,
     identity,
+    is_noncrossing,
     parse_partition,
     serialize,
     stats,
@@ -40,6 +43,7 @@ NCB = CategorySpec.named("ncb")
 NCEVEN = CategorySpec.named("nceven")
 UCOL = CategorySpec.named("ucol")
 FOURBLOCK = parse_partition("aa:aa")
+P2 = CategorySpec.named("p2")
 
 
 def z2_words(max_len):
@@ -130,10 +134,77 @@ class TestFusionSets:
                 )
 
 
+class TestNestedPath:
+    """Noncrossing categories graft only the nested mixings; the full
+    mixing enumeration and the domination oracle must agree with that."""
+
+    @pytest.mark.parametrize(
+        "spec, max_arity",
+        [
+            (NC, 2),
+            (NC2, 2),
+            (NCB, 2),
+            (NCEVEN, 3),
+            (UCOL, 2),
+            (CategorySpec(generators=(FOURBLOCK,), max_points=8), 2),
+        ],
+        ids=["nc", "nc2", "ncb", "nceven", "ucol", "gen-aa:aa"],
+    )
+    def test_matches_full_enumeration_and_oracle(self, spec, max_arity):
+        pool = []
+        for k in range(0, max_arity + 1):
+            pool.extend(projectives(spec, k))
+        for p in pool:
+            for q in pool:
+                res = fusion(spec, p, q)
+                full = [m for m in fusion_candidates(p, q) if contains(spec, m)]
+                assert res.partitions == full
+                assert res.members == fusion_brute_force(spec, p, q).members
+
+    def test_crossing_category_enumerates_every_mixing(self, monkeypatch):
+        calls = []
+        real = fusion_module.enumerate_mixing
+
+        def counting(k, l):
+            calls.append((k, l))
+            return real(k, l)
+
+        monkeypatch.setattr(fusion_module, "enumerate_mixing", counting)
+        res = fusion(P2, identity(2), identity(2))
+        assert calls == [(2, 2)]
+        assert not all(is_noncrossing(m) for m in res.partitions)
+        calls.clear()
+        fusion(NC2, identity(2), identity(2))
+        assert calls == []
+
+    @pytest.mark.parametrize("t", [5, 8])
+    def test_identity_ladder_mix_budget(self, monkeypatch, t):
+        # op budget: one graft per nested mixing, 2t + 1 in all
+        calls = []
+        real = structure.mix
+
+        def counting(p, q, h):
+            calls.append(h)
+            return real(p, q, h)
+
+        monkeypatch.setattr(structure, "mix", counting)
+        monkeypatch.setattr(fusion_module, "mix", counting)
+        res = fusion(NC, identity(t), identity(t))
+        assert res.t_values == list(range(2 * t + 1))
+        assert len(calls) <= 2 * t + 1
+
+
 class TestLabelledFusion:
     def test_loop_scheme(self):
         assert labelled_fusion("S", 2, 3) == [1, 2, 3, 4, 5]
         assert labelled_fusion("S", 0, 2) == [2]
+
+    def test_negative_labels_rejected(self):
+        for scheme in ("S", "O", "B"):
+            with pytest.raises(ValueError):
+                labelled_fusion(scheme, -3, 2)
+            with pytest.raises(ValueError):
+                labelled_fusion(scheme, 2, -1)
 
     def test_step_two_schemes(self):
         assert labelled_fusion("O", 1, 1) == [0, 2]

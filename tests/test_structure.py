@@ -23,6 +23,7 @@ from particat.partition import (
     conjugate_colors,
 )
 from particat.structure import (
+    MIXING_CAP,
     boxvert,
     dominates,
     enumerate_mixing,
@@ -39,7 +40,12 @@ from particat.structure import (
     word_h,
     word_u,
 )
-from particat.categories import CategorySpec, contains, projectives
+from particat.categories import (
+    BoundsExceededError,
+    CategorySpec,
+    contains,
+    projectives,
+)
 
 P1 = parse_partition("aab:accc")
 FOURBLOCK = parse_partition("aa:aa")
@@ -300,6 +306,13 @@ class TestMixing:
         assert len(enumerate_mixing(1, 1)) == 3
         assert len(enumerate_mixing(2, 1)) == 5
         assert len(enumerate_mixing(2, 2)) == 17
+
+    def test_count_cap(self):
+        # (5, 5) is the largest square size under the cap; (6, 6) is
+        # refused from the closed-form count, before anything is built
+        assert len(enumerate_mixing(5, 5)) == 19_091 <= MIXING_CAP
+        with pytest.raises(BoundsExceededError, match="291793"):
+            enumerate_mixing(6, 6)
 
     def test_all_projective(self):
         for k, l in ((1, 1), (2, 1), (2, 2), (3, 1)):
