@@ -39,6 +39,7 @@ from .partition import (
 )
 from .structure import (
     _dominates,
+    _equivalence_classes,
     boxvert,
     enumerate_mixing,
     equivalent,
@@ -432,17 +433,8 @@ def decompose_power(spec: CategorySpec, k: int) -> list[dict]:
     """
     if k < 0:
         raise ValueError("the tensor power must be nonnegative")
-    members = projectives(spec, k)
-    classes: list[list[Partition]] = []
-    for p in members:
-        for cls in classes:
-            if equivalent(spec, cls[0], p):
-                cls.append(p)
-                break
-        else:
-            classes.append([p])
     records = []
-    for cls in classes:
+    for cls in _equivalence_classes(spec, projectives(spec, k)):
         cls_sorted = sorted(cls, key=Partition.sort_key)
         rep = cls_sorted[0]
         records.append(
@@ -509,15 +501,9 @@ def freeness_probe(spec: CategorySpec, max_arity: int = 3) -> dict:
                     if not contains(spec, _block_as_partition(p, b)):
                         block_stable = False
 
-    singles = _single_block_projectives(spec, max_arity)
-    letter_classes: list[list[Partition]] = []
-    for p in singles:
-        for cls in letter_classes:
-            if equivalent(spec, cls[0], p):
-                cls.append(p)
-                break
-        else:
-            letter_classes.append([p])
+    letter_classes = _equivalence_classes(
+        spec, _single_block_projectives(spec, max_arity)
+    )
     reps = [sorted(c, key=Partition.sort_key)[0] for c in letter_classes]
 
     def letter_of(p: Partition) -> Optional[int]:

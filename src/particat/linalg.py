@@ -1,166 +1,76 @@
 """
 Exact linear algebra over the rationals.
 
-Everything here works on numpy arrays with ``dtype=object`` holding Python
-ints or :class:`fractions.Fraction` entries, so no floating point ever enters.
-Pivoting is deterministic: always the first nonzero entry in canonical
-row/column order.
+One elimination kernel, :class:`SparseEchelon`, reduces sparse vectors with
+:class:`fractions.Fraction` entries against an incremental echelon basis;
+:func:`rank` feeds it the rows of a matrix.  :func:`projection_onto_columns`
+needs no elimination at all: it runs Gram-Schmidt over the columns in
+integer arithmetic.  Dense matrices are numpy arrays with ``dtype=object``
+holding Python ints or Fractions, so no floating point ever enters.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import gcd, lcm
 
 import numpy as np
 
 __all__ = [
-    "as_object_matrix",
-    "frac",
-    "identity_matrix",
     "zeros_matrix",
-    "matmul",
     "rank",
-    "rref",
-    "invert",
     "projection_onto_columns",
     "SparseEchelon",
-    "rank_of_sparse_columns",
 ]
-
-
-def frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def as_object_matrix(rows: Sequence[Sequence]) -> np.ndarray:
-    out = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            out[i, j] = x
-    return out
-
-
-def identity_matrix(n: int) -> np.ndarray:
-    out = np.full((n, n), Fraction(0), dtype=object)
-    for i in range(n):
-        out[i, i] = Fraction(1)
-    return out
 
 
 def zeros_matrix(n: int, m: int) -> np.ndarray:
     return np.full((n, m), Fraction(0), dtype=object)
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b
-
-
-def rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and the pivot column list."""
-    m = np.array(
-        [[frac(x) for x in row] for row in a.tolist()], dtype=object
-    )
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if m[i, c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            m[[r, pivot_row]] = m[[pivot_row, r]]
-        m[r] = m[r] / m[r, c]
-        for i in range(rows):
-            if i != r and m[i, c] != 0:
-                m[i] = m[i] - m[i, c] * m[r]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
-
-
 def rank(a: np.ndarray) -> int:
-    """Exact rank by forward elimination with fraction arithmetic."""
-    m = [[frac(x) for x in row] for row in a.tolist()]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    rk = 0
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        row_r = m[r]
-        for i in range(r + 1, rows):
-            f = m[i][c]
-            if f != 0:
-                f = f * inv
-                row_i = m[i]
-                for j in range(c, cols):
-                    row_i[j] -= f * row_r[j]
-        rk += 1
-        r += 1
-        if r == rows:
-            break
-    return rk
-
-
-def invert(a: np.ndarray) -> np.ndarray:
-    """Inverse of a square rational matrix by Gauss-Jordan elimination."""
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix is not square")
-    m = np.concatenate(
-        [
-            np.array([[frac(x) for x in row] for row in a.tolist()], dtype=object),
-            identity_matrix(n),
-        ],
-        axis=1,
-    )
-    reduced, pivots = rref(m)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return reduced[:, n:]
+    """Exact rank: the nonzero entries of each row, fed to one echelon."""
+    ech = SparseEchelon()
+    for row in a.tolist():
+        ech.insert({j: Fraction(x) for j, x in enumerate(row) if x})
+    return ech.rank
 
 
 def projection_onto_columns(a: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the column space of ``a``, exactly.
 
-    An independent column subset B is selected by echelon pivoting in
-    canonical column order, and the projection is B (B^T B)^(-1) B^T via the
-    normal equations; B^T B is invertible because B has independent real
-    columns.
+    Gram-Schmidt in column order over integer vectors: each column, scaled
+    to integers, loses its components along the vectors kept so far
+    (u <- <v, v> u - <u, v> v stays integral; the common factor is then
+    divided out), and a zero remainder, a dependent column, is dropped.
+    The projection is the sum of u u^T / <u, u> over the kept vectors u.
     """
     n = a.shape[0]
-    if a.shape[1] == 0:
-        return zeros_matrix(n, n)
-    _, pivots = rref(a)
-    if not pivots:
-        return zeros_matrix(n, n)
-    b = a[:, pivots]
-    b = np.array([[frac(x) for x in row] for row in b.tolist()], dtype=object)
-    gram = b.T @ b
-    return b @ invert(gram) @ b.T
+    kept: list[tuple[np.ndarray, int]] = []
+    for col in a.T:
+        scale = lcm(*(Fraction(x).denominator for x in col))
+        u = np.array([int(x * scale) for x in col], dtype=object)
+        for v, vv in kept:
+            c = u.dot(v)
+            if c:
+                u = vv * u - c * v
+        g = gcd(*u)
+        if g:
+            u //= g
+            kept.append((u, u.dot(u)))
+    denom = lcm(*(uu for _, uu in kept))
+    total = np.zeros((n, n), dtype=object)
+    for u, uu in kept:
+        total += np.outer(u, (denom // uu) * u)
+    return total * Fraction(1, denom)
 
 
 class SparseEchelon:
     """Incremental echelon basis for sparse rational vectors.
 
-    Vectors are dicts mapping row index to a nonzero Fraction.  ``insert``
+    Vectors are dicts mapping index to a nonzero Fraction.  ``insert``
     reduces the vector against the basis and returns True when it enlarged
-    the span.  Intended for the 0/1 indicator columns of the diagram matrix
+    the span.  Suited to the 0/1 indicator columns of the diagram matrix
     calculus, where supports are small and fill-in stays moderate.
     """
 
@@ -188,27 +98,3 @@ class SparseEchelon:
                 else:
                     v.pop(k, None)
         return False
-
-    def contains(self, vec: dict[int, Fraction]) -> bool:
-        """Whether the vector already lies in the span (without inserting)."""
-        v = dict(vec)
-        while v:
-            lead = min(v)
-            row = self.basis.get(lead)
-            if row is None:
-                return False
-            f = v[lead]
-            for k, val in row.items():
-                newval = v.get(k, Fraction(0)) - f * val
-                if newval:
-                    v[k] = newval
-                else:
-                    v.pop(k, None)
-        return True
-
-
-def rank_of_sparse_columns(columns: Iterable[dict[int, Fraction]]) -> int:
-    ech = SparseEchelon()
-    for col in columns:
-        ech.insert(col)
-    return ech.rank

@@ -7,9 +7,10 @@ the multi-indices i (upper row) and j (lower row).  The matrix is stored with
 exact integer entries, together with the normalization exponent -beta(p) so
 that the normalized map (the one that is a projection for projective p) is
 N^(-beta/2) times the 0/1 matrix.  Everything downstream -- functoriality
-checks, Gram ranks, the subtraction of dominated projections, class
-projections, the group-algebra comparison, and the twisted diagram algebra --
-is computed in exact integer or rational arithmetic.
+checks, ranks of diagram-map families, the subtraction of dominated
+projections, class projections, the group-algebra comparison, and the
+twisted diagram algebra -- is computed in exact integer or rational
+arithmetic.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .partition import (
 )
 from .structure import (
     _dominates,
-    equivalent,
+    _equivalence_classes,
     p_sigma,
     strictly_dominates,
     sym_group,
@@ -257,22 +258,29 @@ def check_functor(
     return report
 
 
-def independent(spec: CategorySpec, k: int, N: int) -> dict:
-    """Rank of the Gram matrix of all diagram maps in C(k, k) over Q.
+def _map_family_rank(spec: CategorySpec, k: int, N: int) -> tuple[int, int]:
+    """Member count of C(k, k) and the exact rank of its diagram maps,
+    each flattened to a sparse 0/1 vector."""
+    members = enumerate_in(spec, k, k)
+    ech = linalg.SparseEchelon()
+    one = Fraction(1)
+    for q in members:
+        flat = t_map(q, N).matrix.ravel()
+        ech.insert({int(i): one for i in np.flatnonzero(flat)})
+    return len(members), ech.rank
 
-    The family is linearly dependent exactly when the Gram rank falls short
-    of the member count.  Defined for uncolored categories (the maps ignore
-    colors, so mixed colorings would alias)."""
+
+def independent(spec: CategorySpec, k: int, N: int) -> dict:
+    """Rank over Q of the family of all diagram maps in C(k, k).
+
+    The family is linearly dependent exactly when the rank falls short of
+    the member count.  The rank equals that of the Gram matrix
+    <T_p, T_q> = N^#blocks(p v q), which is never built.  Defined for
+    uncolored categories (the maps ignore colors, so mixed colorings would
+    alias)."""
     if spec.colored:
         raise ColorError("independence is an uncolored-category check")
-    members = enumerate_in(spec, k, k)
-    mats = [t_map(q, N).matrix.astype(np.int64) for q in members]
-    count = len(members)
-    gram = np.empty((count, count), dtype=object)
-    for a in range(count):
-        for b in range(count):
-            gram[a, b] = int(np.sum(mats[a] * mats[b]))
-    rk = linalg.rank(gram) if count else 0
+    count, rk = _map_family_rank(spec, k, N)
     return {
         "category": spec.name(),
         "k": k,
@@ -351,20 +359,6 @@ def projection_rank(spec: CategorySpec, p: Partition, N: int) -> int:
         for col in _sparse_columns(q, N):
             ech.insert(col)
     return N ** stats(p).t - ech.rank
-
-
-def _equivalence_classes(
-    spec: CategorySpec, members: Sequence[Partition]
-) -> list[list[Partition]]:
-    classes: list[list[Partition]] = []
-    for p in members:
-        for cls in classes:
-            if equivalent(spec, cls[0], p):
-                cls.append(p)
-                break
-        else:
-            classes.append([p])
-    return classes
 
 
 def class_projection(spec: CategorySpec, k: int, N: int) -> list[dict]:
@@ -511,14 +505,5 @@ def brauer_involution(x: BrauerElement) -> BrauerElement:
 def brauer_kernel_dim(spec: CategorySpec, k: int, N: int) -> int:
     """Dimension of the kernel of the algebra's matrix representation:
     member count minus the rank of the family of flattened diagram maps."""
-    members = enumerate_in(spec, k, k)
-    ech = linalg.SparseEchelon()
-    one = Fraction(1)
-    rank = 0
-    for q in members:
-        mat = t_map(q, N).matrix
-        flat = mat.ravel()
-        vec = {i: one for i in range(flat.size) if flat[i]}
-        if ech.insert(vec):
-            rank += 1
-    return len(members) - rank
+    count, rk = _map_family_rank(spec, k, N)
+    return count - rk

@@ -586,7 +586,7 @@ def serialize(p: Partition) -> str:
     return text
 
 
-def _parse_row(text: str, offset: int) -> tuple[str, Optional[str]]:
+def _parse_row(text: str) -> tuple[str, Optional[str]]:
     if "@" in text:
         word, _, colortext = text.partition("@")
         return word, colortext
@@ -594,19 +594,26 @@ def _parse_row(text: str, offset: int) -> tuple[str, Optional[str]]:
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse the letter grammar; raises :class:`GrammarError` on bad input."""
+    """Parse the letter grammar; raises :class:`GrammarError` on bad input.
+
+    Error positions index into ``text``."""
     if text.count(":") != 1:
-        raise GrammarError("expected exactly one ':'", text.find(":"))
+        second = text.find(":", text.find(":") + 1) if ":" in text else None
+        raise GrammarError("expected exactly one ':'", second)
     upper_text, lower_text = text.split(":")
-    upper_word, upper_colors = _parse_row(upper_text, 0)
-    lower_word, lower_colors = _parse_row(lower_text, len(upper_text) + 1)
+    lower_start = len(upper_text) + 1
+    upper_word, upper_colors = _parse_row(upper_text)
+    lower_word, lower_colors = _parse_row(lower_text)
     if (upper_colors is None) != (lower_colors is None):
         raise GrammarError("either both rows carry colors or neither does")
     k, l = len(upper_word), len(lower_word)
     blocks: dict[str, list[int]] = {}
     for pos, ch in enumerate(upper_word + lower_word):
         if ch not in _LETTERS:
-            raise GrammarError(f"invalid block letter {ch!r}", pos)
+            raise GrammarError(
+                f"invalid block letter {ch!r}",
+                pos if pos < k else lower_start + pos - k,
+            )
         blocks.setdefault(ch, []).append(pos)
     colors = None
     if upper_colors is not None:
@@ -621,7 +628,11 @@ def parse_partition(text: str) -> Partition:
             )
         for pos, ch in enumerate(upper_colors + lower_colors):
             if ch not in (WHITE, BLACK):
-                raise GrammarError(f"invalid color {ch!r}", pos)
+                # a row's colors follow its letters and the '@'
+                raise GrammarError(
+                    f"invalid color {ch!r}",
+                    k + 1 + pos if pos < k else lower_start + l + 1 + pos - k,
+                )
         colors = tuple(upper_colors + lower_colors)
     return Partition.make(k, l, blocks.values(), colors)
 

@@ -354,6 +354,23 @@ def equivalent(spec: "CategorySpec", p: Partition, q: Partition) -> bool:
     return False
 
 
+def _equivalence_classes(
+    spec: "CategorySpec", members: Iterable[Partition]
+) -> list[list[Partition]]:
+    """Projective members grouped by :func:`equivalent`, each compared with
+    the first member of every class so far; classes and their members keep
+    the order of first appearance."""
+    classes: list[list[Partition]] = []
+    for p in members:
+        for cls in classes:
+            if equivalent(spec, cls[0], p):
+                cls.append(p)
+                break
+        else:
+            classes.append([p])
+    return classes
+
+
 # ---------------------------------------------------------------------------
 # mixing diagrams
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from particat import linalg
 from particat.partition import (
@@ -173,6 +174,28 @@ class TestIndependence:
     def test_noncrossing_threshold(self):
         assert independent(NC, 2, 2)["dependent"]
         assert not independent(NC, 2, 4)["dependent"]
+
+    @pytest.mark.parametrize(
+        "name,k,N",
+        [("p", 2, 2), ("p2", 3, 2), ("p2", 2, 4), ("nc", 2, 2), ("nc", 2, 4)],
+    )
+    def test_rank_matches_gram_rank(self, name, k, N):
+        # the Gram matrix <T_p, T_q> of the map family, as an oracle
+        spec = CategorySpec.named(name)
+        mats = [
+            t_map(q, N).matrix.astype(np.int64)
+            for q in enumerate_in(spec, k, k)
+        ]
+        gram = sympy.Matrix(
+            [[int(np.sum(a * b)) for b in mats] for a in mats]
+        )
+        report = independent(spec, k, N)
+        assert report["count"] == len(mats)
+        assert (
+            report["rank"]
+            == report["count"] - brauer_kernel_dim(spec, k, N)
+            == gram.rank()
+        )
 
 
 class TestProjection:

@@ -71,6 +71,22 @@ class TestGrammar:
         with pytest.raises(GrammarError):
             parse_partition("ab@wb:ab")
 
+    @pytest.mark.parametrize(
+        "text,position",
+        [
+            ("ab:a1", 4),
+            ("ab@wx:ab@ww", 4),
+            ("ab@wb:ab@wq", 10),
+            ("a:b:c", 3),
+            ("abc", None),
+        ],
+    )
+    def test_error_positions_index_the_input(self, text, position):
+        with pytest.raises(GrammarError) as info:
+            parse_partition(text)
+        assert info.value.position == position
+        assert ("position" in str(info.value)) == (position is not None)
+
 
 class TestCanonicalize:
     def test_idempotent_on_random(self):
