@@ -29,12 +29,11 @@ A closure of more than :data:`CLOSURE_CAP` words raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Optional
 
 from .partition import (
-    ArityError,
     ColorError,
     Partition,
     all_blocks_even,
@@ -44,7 +43,6 @@ from .partition import (
     identity,
     is_noncrossing,
     is_pair,
-    is_projective,
     parse_partition,
     rotate,
     serialize,
@@ -414,44 +412,19 @@ def enumerate_in(spec: CategorySpec, k: int, l: int) -> list[Partition]:
     return out
 
 
-def _noncrossing_partitions_of_row(k: int) -> list[tuple[tuple[int, ...], ...]]:
-    row = []
-    for blocks in all_set_partitions(k):
-        if is_noncrossing(Partition.make(k, 0, blocks)):
-            row.append(blocks)
-    return row
-
-
-def _ucol_projective_colorings(p: Partition) -> Iterator[Partition]:
-    """Symmetric colorings obeying the pair color rule, block by block."""
-    k = p.upper
-    upper_blocks = [b for b in p.blocks if b[0] < k]
-    choices = []
-    for b in upper_blocks:
-        if b[-1] >= k:  # through-pair {a, a'}: both ends one color
-            choices.append([(WHITE,), (BLACK,)])
-        else:  # upper pair {a, b}: opposite colors (mirrored below)
-            choices.append([(WHITE, BLACK), (BLACK, WHITE)])
-    for pick in product(*choices):
-        upper_colors = [WHITE] * k
-        for b, cols in zip(upper_blocks, pick):
-            ups = [x for x in b if x < k]
-            for x, c in zip(ups, cols):
-                upper_colors[x] = c
-        colors = tuple(upper_colors) * 2
-        yield Partition.make(p.upper, p.lower, p.blocks, colors)
-
-
 _PROJECTIVES_CACHE: dict[tuple[CategorySpec, int], list[Partition]] = {}
 
 
 def projectives(spec: CategorySpec, k: int) -> list[Partition]:
     """All projective members of the category in C(k, k), canonically sorted.
 
-    For the noncrossing built-ins these are generated directly from pairs
-    (noncrossing row partition, subset of through-marked blocks) instead of
-    filtering all set partitions, which keeps larger arities reachable.
-    Results are cached per (category, arity).
+    A projective diagram is r* r, so it is fixed by the partition of its
+    upper row, which its lower row mirrors, and by the set of those blocks
+    that go through to their mirrors; colored, it carries some coloring
+    c + c.  Every such candidate is generated and kept when the category
+    contains it.  Categories other than the noncrossing built-ins are
+    refused beyond :data:`MAX_ENUM_POINTS` points, as :func:`enumerate_in`
+    refuses them.  Results are cached per (category, arity).
     """
     key = (spec, k)
     cached = _PROJECTIVES_CACHE.get(key)
@@ -463,31 +436,34 @@ def projectives(spec: CategorySpec, k: int) -> list[Partition]:
 
 
 def _projectives_uncached(spec: CategorySpec, k: int) -> list[Partition]:
-    if spec.builtin in ("nc", "nc2", "ncb", "nceven", "ucol"):
-        out = []
-        for row_blocks in _noncrossing_partitions_of_row(k):
-            nblocks = len(row_blocks)
-            for mask in range(1 << nblocks):
-                blocks = []
-                for i, b in enumerate(row_blocks):
-                    mirrored = tuple(x + k for x in b)
-                    if mask >> i & 1:
-                        blocks.append(b + mirrored)
-                    else:
-                        blocks.append(b)
-                        blocks.append(mirrored)
-                cand = Partition.make(k, k, blocks)
-                if not is_noncrossing(cand):
-                    continue
-                if spec.builtin == "ucol":
-                    if not is_pair(cand):
-                        continue
-                    out.extend(_ucol_projective_colorings(cand))
-                elif _builtin_contains(spec.builtin, cand):
+    if 2 * k > MAX_ENUM_POINTS and not (
+        spec.builtin is not None and is_noncrossing_spec(spec)
+    ):
+        raise BoundsExceededError(
+            f"enumeration of {2 * k} points exceeds the cap {MAX_ENUM_POINTS}"
+        )
+    if spec.colored:
+        colorings = [c + c for c in product((WHITE, BLACK), repeat=k)]
+    else:
+        colorings = [None]
+    out = []
+    for row in all_set_partitions(k):
+        # bit i of the mask cuts block i from its mirror; mask 0 comes first,
+        # so an undecidable arity names the diagram enumerate_in names
+        for mask in range(1 << len(row)):
+            blocks = []
+            for i, b in enumerate(row):
+                mirrored = tuple(x + k for x in b)
+                if mask >> i & 1:
+                    blocks.extend((b, mirrored))
+                else:
+                    blocks.append(b + mirrored)
+            for colors in colorings:
+                cand = Partition.make(k, k, blocks, colors)
+                if contains(spec, cand):
                     out.append(cand)
-        out.sort(key=Partition.sort_key)
-        return out
-    return [p for p in enumerate_in(spec, k, k) if is_projective(p)]
+    out.sort(key=Partition.sort_key)
+    return out
 
 
 # ---------------------------------------------------------------------------

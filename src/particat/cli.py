@@ -8,8 +8,9 @@ runs for identical inputs: the ``elapsed_ms`` field stays 0 unless
 ``--timing`` is passed.  Environment variables are never consulted; an
 optional JSON config file can raise or lower the size caps.
 
-Exit codes: 0 success, 2 parse or usage error, 3 bounds exceeded,
-4 undecidable membership in a bounded generated category.
+Exit codes: 0 success, 2 parse or usage error (an unreadable input file
+included), 3 bounds exceeded, 4 undecidable membership in a bounded
+generated category.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .partition import (
     ArityError,
@@ -28,12 +28,10 @@ from .partition import (
     Partition,
     parse_partition,
     serialize,
-    stats,
 )
 from .structure import sym_group
 from .categories import (
     BoundsExceededError,
-    CategorySpec,
     DEFAULT_MAX_POINTS,
     UndecidableMembershipError,
     category_from_name,
@@ -76,9 +74,13 @@ class Config:
         if path:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            for key in ("max_points",):
-                if key in data:
-                    setattr(cfg, key, int(data[key]))
+            if not isinstance(data, dict):
+                raise ValueError("the config file must hold a JSON object")
+            if "max_points" in data:
+                value = data["max_points"]
+                if type(value) is not int:
+                    raise ValueError("max_points must be a JSON integer")
+                cfg.max_points = value
         return cfg
 
 
@@ -340,7 +342,7 @@ def run(argv: list[str]) -> int:
         start = time.monotonic()
         inputs, payload = _COMMANDS[args.command](args, cfg)
         elapsed = int((time.monotonic() - start) * 1000) if args.timing else 0
-    except (GrammarError, ColorError, ArityError, ValueError) as exc:
+    except (GrammarError, ColorError, ArityError, ValueError, OSError) as exc:
         print(json.dumps({"schema": SCHEMA, "error": str(exc)}), file=sys.stderr)
         return EXIT_PARSE
     except BoundsExceededError as exc:

@@ -23,7 +23,7 @@ empty or the letter fusion is undefined).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Union
 
 from .partition import (
     Partition,
@@ -490,7 +490,7 @@ def freeness_probe(spec: CategorySpec, max_arity: int = 3) -> dict:
     into words over the letters.
     """
     from .categories import enumerate_in
-    from .partition import conjugate_colors, involution as _inv
+    from .partition import conjugate_colors
 
     # block stability over all members at small sizes
     block_stable = True

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from typing import Optional
 
 import numpy as np
@@ -38,7 +37,6 @@ from .structure import (
     _dominates,
     _equivalence_classes,
     p_sigma,
-    strictly_dominates,
     sym_group,
 )
 from .categories import CategorySpec, contains, enumerate_in, projectives
@@ -149,15 +147,13 @@ def _row_signatures(
     return valid, code
 
 
-def t_map(
-    p: Partition, N: int, rows_cap: int = MATRIX_ROWS_CAP
-) -> MapModel:
+def t_map(p: Partition, N: int) -> MapModel:
     """The exact 0/1 matrix of a diagram on (C^N)^k -> (C^N)^l."""
     if N < 1:
         raise ValueError("N must be at least 1")
-    if N ** max(p.upper, p.lower) > rows_cap:
+    if N ** max(p.upper, p.lower) > MATRIX_ROWS_CAP:
         raise ArityError(
-            f"matrix would have more than {rows_cap} rows or columns"
+            f"matrix would have more than {MATRIX_ROWS_CAP} rows or columns"
         )
     valid_i, code_i = _row_signatures(p, "upper", N)
     valid_j, code_j = _row_signatures(p, "lower", N)
@@ -209,9 +205,7 @@ def _eq(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and bool(np.array_equal(a, b))
 
 
-def check_functor(
-    bottom: Partition, top: Partition, N: int, rows_cap: int = MATRIX_ROWS_CAP
-) -> dict:
+def check_functor(bottom: Partition, top: Partition, N: int) -> dict:
     """Exact verification of the three structure rules on one pair.
 
     involution -> transpose, tensor -> Kronecker product, and composition ->
@@ -220,8 +214,8 @@ def check_functor(
     The tensor rule is skipped when the doubled arity would exceed the row
     cap.
     """
-    tb = t_map(bottom, N, rows_cap).matrix
-    tt = t_map(top, N, rows_cap).matrix
+    tb = t_map(bottom, N).matrix
+    tt = t_map(top, N).matrix
     report = {
         "N": N,
         "bottom": serialize(bottom),
@@ -230,7 +224,7 @@ def check_functor(
         and _eq(t_map(involution(top), N).matrix, tt.T),
     }
     both = tensor(bottom, top)
-    if N ** max(both.upper, both.lower) <= rows_cap:
+    if N ** max(both.upper, both.lower) <= MATRIX_ROWS_CAP:
         report["tensor_rule"] = _eq(
             t_map(both, N).matrix, np.kron(tb, tt)
         )
@@ -313,12 +307,7 @@ def _dominated_members(
     return [q for q in pool if q != p and _dominates(p, q)]
 
 
-def projection_matrix(
-    spec: CategorySpec,
-    p: Partition,
-    N: int,
-    entries_cap: int = PROJECTION_ENTRIES_CAP,
-) -> np.ndarray:
+def projection_matrix(spec: CategorySpec, p: Partition, N: int) -> np.ndarray:
     """The rational projection attached to p inside the category: the
     normalized map of p minus the orthogonal projection onto the column
     spaces of all strictly dominated projective members.
@@ -332,7 +321,7 @@ def projection_matrix(
     cols: list[dict[int, Fraction]] = []
     for q in below:
         cols.extend(_sparse_columns(q, N))
-    if dim * max(1, len(cols)) > entries_cap:
+    if dim * max(1, len(cols)) > PROJECTION_ENTRIES_CAP:
         raise ArityError("projection solve exceeds the entry cap")
     t_norm = t_map(p, N).normalized()
     if not cols:
@@ -361,6 +350,13 @@ def projection_rank(spec: CategorySpec, p: Partition, N: int) -> int:
     return N ** stats(p).t - ech.rank
 
 
+def _trace_rank(proj: np.ndarray) -> int:
+    """The rank of an exact orthogonal projection, read as its trace."""
+    trace = Fraction(sum(proj.diagonal()))
+    assert trace.denominator == 1
+    return int(trace)
+
+
 def class_projection(spec: CategorySpec, k: int, N: int) -> list[dict]:
     """Per equivalence class: the projection onto the joint image of the
     member projections, with its rank and the resulting multiplicity.
@@ -375,11 +371,10 @@ def class_projection(spec: CategorySpec, k: int, N: int) -> list[dict]:
         cls_sorted = sorted(cls, key=Partition.sort_key)
         rep = cls_sorted[0]
         mats = [projection_matrix(spec, q, N) for q in cls_sorted]
-        dim = N**k
         stacked = np.concatenate(mats, axis=1)
         class_proj = linalg.projection_onto_columns(stacked)
-        rank_class = linalg.rank(class_proj)
-        rank_rep = linalg.rank(mats[0])
+        rank_class = _trace_rank(class_proj)
+        rank_rep = _trace_rank(mats[0])
         mult: Optional[int] = None
         if rank_rep and rank_class % rank_rep == 0:
             mult = rank_class // rank_rep

@@ -42,7 +42,6 @@ __all__ = [
     "GrammarError",
     "ArityError",
     "ColorError",
-    "canonicalize",
     "tensor",
     "compose",
     "involution",
@@ -265,15 +264,6 @@ def identity(k: int, colors: Optional[Sequence[str]] = None) -> Partition:
     if colors is not None:
         col = tuple(colors) + tuple(colors)
     return Partition.make(k, k, blocks, col)
-
-
-def canonicalize(p: Partition) -> Partition:
-    """Return the canonical form of ``p`` (a no-op, kept for symmetry).
-
-    Construction already normalizes, so this is the identity; it exists so
-    callers can state intent and so the idempotence contract is explicit.
-    """
-    return Partition.make(p.upper, p.lower, p.blocks, p.colors)
 
 
 # ---------------------------------------------------------------------------

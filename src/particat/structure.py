@@ -23,21 +23,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from math import comb, factorial
-from typing import Iterable, Optional, Sequence, TYPE_CHECKING
+from typing import Iterable, Sequence, TYPE_CHECKING
 
 from .partition import (
     ArityError,
     ColorError,
-    CompositionResult,
     Partition,
     WHITE,
     all_blocks_even,
     compose,
-    empty_partition,
     involution,
     is_pair,
     is_projective,
-    serialize,
     stats,
     tensor,
 )

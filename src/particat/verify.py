@@ -17,7 +17,6 @@ from .partition import (
     Partition,
     all_set_partitions,
     compose,
-    involution,
     is_projective,
     random_partition,
     serialize,
@@ -33,7 +32,7 @@ from .structure import (
     mix,
     through_block_decomposition,
 )
-from .categories import CategorySpec, contains, projectives
+from .categories import CategorySpec, projectives
 from .matrix_model import check_functor
 from .fusion import fusion, fusion_brute_force
 

@@ -333,7 +333,11 @@ class TestProjectives:
                 assert compose(involution(pu), pu).partition == q
 
     def test_direct_generation_matches_filter(self):
-        for spec in (NC, NC2, NCB, NCEVEN):
+        generated = [
+            CategorySpec(generators=(parse_partition(g),), max_points=6)
+            for g in ("ab:ba", "abc:cba", "aa:aa", ":a", "ab@wb:ba@bw")
+        ]
+        for spec in [P_ALL, P2, NC, NC2, NCB, NCEVEN] + generated:
             for k in range(0, 4):
                 fast = projectives(spec, k)
                 slow = [
@@ -346,6 +350,17 @@ class TestProjectives:
             fast = projectives(UCOL, k)
             slow = [p for p in enumerate_in(UCOL, k, k) if is_projective(p)]
             assert fast == sorted(slow, key=Partition.sort_key)
+
+    def test_cap_spares_only_noncrossing_builtins(self):
+        with pytest.raises(BoundsExceededError):
+            projectives(P_ALL, 6)
+        # at 6 points an uncapped search would stop as undecidable instead
+        gen = CategorySpec(
+            generators=(parse_partition("ab:ba"),), max_points=6
+        )
+        with pytest.raises(BoundsExceededError):
+            projectives(gen, 6)
+        assert len(projectives(NCB, 6)) == 267
 
 
 class TestRegistry:

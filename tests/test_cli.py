@@ -133,6 +133,26 @@ class TestMember:
             == EXIT_BOUNDS
         )
 
+    def test_missing_config_exit(self, capsys, tmp_path):
+        argv = ["--config", str(tmp_path / "missing.json"),
+                "member", "--category", "nc", "--partition", "a:a"]
+        assert run_error(capsys, argv) == EXIT_PARSE
+
+    def test_missing_generator_file_exit(self, capsys, tmp_path):
+        argv = ["member", "--category", f"gen:{tmp_path / 'missing.txt'}",
+                "--partition", "a:a"]
+        assert run_error(capsys, argv) == EXIT_PARSE
+
+    @pytest.mark.parametrize(
+        "data", [{"max_points": None}, {"max_points": "8"}, 8]
+    )
+    def test_bad_config_exit(self, capsys, tmp_path, data):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data), encoding="utf-8")
+        argv = ["--config", str(cfg),
+                "member", "--category", "nc", "--partition", "a:a"]
+        assert run_error(capsys, argv) == EXIT_PARSE
+
 
 class TestDecompose:
     def test_with_ranks_golden(self, capsys):

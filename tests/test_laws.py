@@ -3,8 +3,11 @@
 Besides the category laws this checks the two facts the one-row closure
 rests on: k ``ul`` rotations take a diagram in P(k, l) to its word in
 P(0, k + l), and a full cyclic turn of a colored word is the identity.
+It also checks that the through-block factorization p = q* r s recomposes
+to p, in both color modes.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from particat.partition import (
@@ -16,6 +19,7 @@ from particat.partition import (
     serialize,
     tensor,
 )
+from particat.structure import through_block_decomposition
 
 MAX_ROW = 3
 FLIP = {"w": "b", "b": "w"}
@@ -101,6 +105,14 @@ def test_rotations_undo_each_other(p):
             assert rotate(rotate(p, corner), back) == p
         if p.lower:
             assert rotate(rotate(p, back), corner) == p
+
+
+@pytest.mark.parametrize("colored", [False, True])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_through_block_decomposition_recomposes(colored, data):
+    p = data.draw(partitions(colored))
+    assert through_block_decomposition(p).recompose() == p
 
 
 @settings(max_examples=80, deadline=None)
