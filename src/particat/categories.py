@@ -34,6 +34,7 @@ from itertools import product
 from typing import Iterable, Iterator, Optional
 
 from .partition import (
+    ArityError,
     ColorError,
     Partition,
     all_blocks_even,
@@ -390,6 +391,8 @@ def enumerate_in(spec: CategorySpec, k: int, l: int) -> list[Partition]:
     Brute force over set partitions (and colorings in colored mode), guarded
     by the Bell-number growth cap.
     """
+    if k < 0 or l < 0:
+        raise ArityError(f"row sizes must be nonnegative, got ({k}, {l})")
     if k + l > MAX_ENUM_POINTS:
         raise BoundsExceededError(
             f"enumeration of {k + l} points exceeds the cap {MAX_ENUM_POINTS}"
@@ -426,6 +429,8 @@ def projectives(spec: CategorySpec, k: int) -> list[Partition]:
     refused beyond :data:`MAX_ENUM_POINTS` points, as :func:`enumerate_in`
     refuses them.  Results are cached per (category, arity).
     """
+    if k < 0:
+        raise ArityError(f"the arity must be nonnegative, got {k}")
     key = (spec, k)
     cached = _PROJECTIVES_CACHE.get(key)
     if cached is not None:

@@ -108,11 +108,6 @@ def _parse_label_or_partition(text: str, scheme: str | None):
     )
 
 
-def _render_label(label) -> object:
-    rendered = label.render()
-    return rendered
-
-
 def _cmd_fuse(args, cfg: Config) -> tuple[dict, dict]:
     spec = category_from_name(args.category, cfg.max_points)
     scheme = LABELLED_IDS.get(spec.builtin or "")
@@ -130,7 +125,7 @@ def _cmd_fuse(args, cfg: Config) -> tuple[dict, dict]:
     pr = right if isinstance(right, Partition) else label_to_partition(scheme, right)
     res = fusion(spec, pl, pr)
     if scheme:
-        rendered = [_render_label(label_for(spec, m)) for m in res.partitions]
+        rendered = [label_for(spec, m).render() for m in res.partitions]
     else:
         rendered = [serialize(m) for m in res.partitions]
     return inputs, {"result": rendered, "checks": len(rendered)}
@@ -175,7 +170,7 @@ def _cmd_decompose(args, cfg: Config) -> tuple[dict, dict]:
     for rec in records:
         row = {
             "representative": serialize(rec["representative"]),
-            "label": _render_label(rec["label"]),
+            "label": rec["label"].render(),
             "t": rec["t"],
             "class_size": len(rec["members"]),
         }
@@ -232,6 +227,8 @@ def _cmd_table(args, cfg: Config) -> tuple[dict, dict]:
     scheme = LABELLED_IDS.get(spec.builtin or "")
     if not scheme:
         raise GrammarError("fusion tables need a labelled category")
+    if args.max_label < 0:
+        raise ValueError("--max-label must be nonnegative")
     if scheme in ("S", "O", "B"):
         labels: list = list(range(args.max_label + 1))
     else:

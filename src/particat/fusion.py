@@ -431,8 +431,6 @@ def decompose_power(spec: CategorySpec, k: int) -> list[dict]:
     serialization), all members, the through-block count, and the class
     label in the category's scheme.
     """
-    if k < 0:
-        raise ValueError("the tensor power must be nonnegative")
     records = []
     for cls in _equivalence_classes(spec, projectives(spec, k)):
         cls_sorted = sorted(cls, key=Partition.sort_key)

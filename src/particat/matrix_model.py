@@ -482,6 +482,8 @@ def brauer_product(
     on basis diagrams, a . b = N^(-rl) (a stacked under b)."""
     if x.arity != y.arity:
         raise ArityError("algebra product needs matching arities")
+    if N < 1:
+        raise ValueError("N must be at least 1")
     acc: dict[Partition, Fraction] = {}
     for a, ca in x.terms:
         for b, cb in y.terms:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import Iterable, Literal, Optional, Sequence
+from typing import Iterable, Literal, NamedTuple, Optional, Sequence
 
 __all__ = [
     "Partition",
@@ -103,6 +103,9 @@ class Partition:
                 their minimal id.
         colors: ``None`` for an uncolored diagram, else a tuple of 'w'/'b'
                 of length k+l (one entry per point).
+
+    The constructor trusts its arguments to be canonical already; use
+    :meth:`make` to validate and canonicalize raw block data.
     """
 
     __slots__ = ("upper", "lower", "blocks", "colors", "_hash", "_ser")
@@ -157,16 +160,6 @@ class Partition:
             if bad:
                 raise ColorError(f"colors must be 'w' or 'b', got {bad[0]!r}")
         return Partition(upper, lower, norm, col)
-
-    @staticmethod
-    def _raw(
-        upper: int,
-        lower: int,
-        blocks: tuple[tuple[int, ...], ...],
-        colors: Optional[tuple[str, ...]],
-    ) -> "Partition":
-        """Trusted constructor: blocks must already be canonical."""
-        return Partition(upper, lower, blocks, colors)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Partition):
@@ -231,21 +224,11 @@ class PartitionStats:
     beta: int
 
 
-class CompositionResult(tuple):
+class CompositionResult(NamedTuple):
     """Pair (partition, removed_loops) returned by :func:`compose`."""
 
-    __slots__ = ()
-
-    def __new__(cls, partition: Partition, removed_loops: int):
-        return super().__new__(cls, (partition, removed_loops))
-
-    @property
-    def partition(self) -> Partition:
-        return self[0]
-
-    @property
-    def removed_loops(self) -> int:
-        return self[1]
+    partition: Partition
+    removed_loops: int
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +273,7 @@ def tensor(p: Partition, q: Partition) -> Partition:
         colors = (
             p.colors[:k] + q.colors[:k2] + p.colors[k:] + q.colors[k2:]
         )
-    return Partition._raw(k + k2, l + l2, tuple(blocks), colors)
+    return Partition(k + k2, l + l2, tuple(blocks), colors)
 
 
 def compose(bottom: Partition, top: Partition) -> CompositionResult:
@@ -366,7 +349,7 @@ def compose(bottom: Partition, top: Partition) -> CompositionResult:
     if top.colored:
         assert top.colors is not None and bottom.colors is not None
         colors = top.colors[:k] + bottom.colors[bu:]
-    return CompositionResult(Partition._raw(k, m, tuple(blocks), colors), loops)
+    return CompositionResult(Partition(k, m, tuple(blocks), colors), loops)
 
 
 def involution(p: Partition) -> Partition:
@@ -381,7 +364,15 @@ def involution(p: Partition) -> Partition:
     if p.colored:
         assert p.colors is not None
         colors = p.colors[k:] + p.colors[:k]
-    return Partition._raw(l, k, tuple(blocks), colors)
+    return Partition(l, k, tuple(blocks), colors)
+
+
+def _walk(k: int, l: int) -> list[int]:
+    """Point ids of P(k, l) in clockwise boundary order: the upper row left
+    to right, then the lower row right to left.  Strings can be drawn inside
+    the disk without crossings exactly when no two blocks interleave in this
+    cyclic order, and the two rows are its two arcs."""
+    return [*range(k), *range(k + l - 1, k - 1, -1)]
 
 
 def rotate(p: Partition, corner: Corner) -> Partition:
@@ -392,55 +383,33 @@ def rotate(p: Partition, corner: Corner) -> Partition:
     ``ur``: rightmost upper point becomes rightmost lower point.
     ``lr``: rightmost lower point becomes rightmost upper point.
 
-    In colored mode the moved point's color flips.
+    One rule serves all four corners: the rows are the two arcs of the
+    clockwise boundary walk (:func:`_walk`), and the cut between them on
+    the named side moves one point along the walk.  In colored mode the
+    moved point's color flips.
     """
     k, l = p.upper, p.lower
-    if corner in ("ul", "ur"):
-        if k == 0:
-            raise ArityError("upper row is empty")
-        new_k, new_l = k - 1, l + 1
-        moved = 0 if corner == "ul" else k - 1
-        if corner == "ul":
-            # old upper i>0 -> i-1; old point 0 -> leftmost lower; lowers shift by 1
-            remap = {0: new_k}
-            for i in range(1, k):
-                remap[i] = i - 1
-            for j in range(l):
-                remap[k + j] = new_k + 1 + j
-        else:
-            # old upper k-1 -> rightmost lower; lowers keep their slots
-            remap = {k - 1: new_k + l}
-            for i in range(k - 1):
-                remap[i] = i
-            for j in range(l):
-                remap[k + j] = new_k + j
-    else:
-        if l == 0:
-            raise ArityError("lower row is empty")
-        new_k, new_l = k + 1, l - 1
-        moved = k if corner == "ll" else k + l - 1
-        if corner == "ll":
-            remap = {k: 0}
-            for i in range(k):
-                remap[i] = i + 1
-            for j in range(1, l):
-                remap[k + j] = new_k + j - 1
-        else:
-            remap = {k + l - 1: k}
-            for i in range(k):
-                remap[i] = i
-            for j in range(l - 1):
-                remap[k + j] = new_k + j
-    blocks = [tuple(remap[x] for x in b) for b in p.blocks]
+    n = k + l
+    up = corner[0] == "u"
+    if (k if up else l) == 0:
+        raise ArityError(f"{'upper' if up else 'lower'} row is empty")
+    new_k = k - 1 if up else k + 1
+    # the upper row starts one point later (earlier) on the walk when the
+    # left cut moves; the right cut only changes where it ends
+    start = (1 if up else -1) if corner[1] == "l" else 0
+    new_walk = _walk(new_k, n - new_k)
+    remap = [0] * n
+    for i, x in enumerate(_walk(k, l)):
+        remap[x] = new_walk[(i - start) % n]
+    blocks = tuple(sorted(tuple(sorted(remap[x] for x in b)) for b in p.blocks))
     colors = None
-    if p.colored:
-        assert p.colors is not None
-        new_colors = [""] * (k + l)
-        for old, new in remap.items():
-            c = p.colors[old]
-            new_colors[new] = _flip(c) if old == moved else c
+    if p.colors is not None:
+        new_colors = [""] * n
+        for x, c in enumerate(p.colors):
+            y = remap[x]
+            new_colors[y] = c if (x < k) == (y < new_k) else _flip(c)
         colors = tuple(new_colors)
-    return Partition.make(new_k, new_l, blocks, colors)
+    return Partition(new_k, n - new_k, blocks, colors)
 
 
 # ---------------------------------------------------------------------------
@@ -455,36 +424,22 @@ def stats(p: Partition) -> PartitionStats:
     return PartitionStats(b, t, b - t)
 
 
-def _boundary_positions(p: Partition) -> list[int]:
-    """Position of each point on the diagram boundary, walked clockwise.
-
-    Upper points come first left to right, then the lower points right to
-    left, so strings can be drawn inside the disk without crossings exactly
-    when no two blocks interleave in this order.
-    """
-    k, l = p.upper, p.lower
-    pos = [0] * (k + l)
-    for i in range(k):
-        pos[i] = i
-    for j in range(l):
-        pos[k + j] = k + (l - 1 - j)
-    return pos
-
-
 def is_noncrossing(p: Partition) -> bool:
-    """True when no two blocks interleave in the cyclic boundary order."""
-    pos = _boundary_positions(p)
-    occ = [sorted(pos[x] for x in b) for b in p.blocks]
-    nb = len(occ)
-    for i in range(nb):
-        for j in range(i + 1, nb):
-            merged = sorted((q, 0) for q in occ[i]) + sorted((q, 1) for q in occ[j])
-            merged.sort()
-            changes = sum(
-                1 for a, bb in zip(merged, merged[1:]) if a[1] != bb[1]
-            )
-            if changes >= 3:
-                return False
+    """True when no two blocks interleave on the clockwise boundary walk
+    (:func:`_walk`).  One stack pass along the walk: a point must open a
+    new block or continue the innermost block still open."""
+    owner = p.block_of()
+    left = [len(b) for b in p.blocks]
+    stack: list[int] = []
+    for x in _walk(p.upper, p.lower):
+        b = owner[x]
+        if left[b] == len(p.blocks[b]):
+            stack.append(b)
+        elif stack[-1] != b:
+            return False
+        left[b] -= 1
+        if not left[b]:
+            stack.pop()
     return True
 
 

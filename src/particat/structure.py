@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from math import comb, factorial
-from typing import Iterable, Sequence, TYPE_CHECKING
+from typing import Iterable, Sequence
 
 from .partition import (
     ArityError,
@@ -38,10 +38,12 @@ from .partition import (
     stats,
     tensor,
 )
-from .categories import BoundsExceededError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .categories import CategorySpec
+from .categories import (
+    BoundsExceededError,
+    CategorySpec,
+    contains,
+    is_noncrossing_spec,
+)
 
 __all__ = [
     "ThroughBlockDecomposition",
@@ -266,6 +268,28 @@ def to_through_partition(sigma: Permutation, colored: bool = False) -> Partition
     return Partition.make(m, m, blocks, colors)
 
 
+def _sigmas(spec: CategorySpec, t: int) -> Iterable[Permutation]:
+    """The permutations a witness search tries.
+
+    In a noncrossing category every permutation but the identity makes
+    q_u* r_sigma p_u cross, so only the identity is tried; elsewhere all
+    t! permutations are, up to :data:`SYM_SEARCH_CAP` through-blocks.
+    """
+    if is_noncrossing_spec(spec):
+        return [tuple(range(t))]
+    if t > SYM_SEARCH_CAP:
+        raise ValueError(
+            f"through-block count {t} exceeds the search cap {SYM_SEARCH_CAP}"
+        )
+    return permutations(range(t))
+
+
+def _witness(qu_star: Partition, sigma: Permutation, pu: Partition) -> Partition:
+    """q_u* r_sigma p_u: the upper building diagram of p, the permutation of
+    the through-blocks, then the upper building diagram of q turned over."""
+    return compose_chain(qu_star, to_through_partition(sigma, pu.colored), pu)
+
+
 def p_sigma(p: Partition, sigma: Permutation) -> Partition:
     """Insert the permutation between the two halves of a projective p."""
     if not is_projective(p):
@@ -276,83 +300,60 @@ def p_sigma(p: Partition, sigma: Permutation) -> Partition:
             f"permutation acts on {len(sigma)} strands, p has {t} through-blocks"
         )
     pu = upper_building(p)
-    r = to_through_partition(sigma, p.colored)
-    return compose_chain(involution(pu), r, pu)
+    return _witness(involution(pu), sigma, pu)
 
 
-def sym_group(spec: "CategorySpec", p: Partition) -> list[Permutation]:
+def sym_group(spec: CategorySpec, p: Partition) -> list[Permutation]:
     """All permutations sigma with p_sigma still in the category.
 
     Always a subgroup of the full symmetric group on the through-blocks.
+    In a noncrossing category it is the trivial group: p_sigma crosses for
+    every sigma but the identity, so only the identity is tried.  Raises
+    ``ValueError`` unless p is a projective member with a through-block.
     """
-    from .categories import contains
-
+    if not is_projective(p):
+        raise ValueError("the symmetry group is defined for projective diagrams")
     if not contains(spec, p):
         raise ValueError("p does not belong to the category")
     t = stats(p).t
     if t == 0:
         raise ValueError("the symmetry group needs at least one through-block")
-    if t > SYM_SEARCH_CAP:
-        raise ValueError(
-            f"through-block count {t} exceeds the search cap {SYM_SEARCH_CAP}"
-        )
     pu = upper_building(p)
     pu_star = involution(pu)
-    out = []
-    for sigma in permutations(range(t)):
-        cand = compose_chain(
-            pu_star, to_through_partition(sigma, p.colored), pu
-        )
-        if contains(spec, cand):
-            out.append(tuple(sigma))
-    return out
+    return [
+        tuple(sigma)
+        for sigma in _sigmas(spec, t)
+        if contains(spec, _witness(pu_star, sigma, pu))
+    ]
 
 
-def equivalent(spec: "CategorySpec", p: Partition, q: Partition) -> bool:
+def equivalent(spec: CategorySpec, p: Partition, q: Partition) -> bool:
     """Whether some r in the category has r*r = p and rr* = q.
 
-    Any witness must be of the form q_u* r_sigma p_u, so the search runs over
-    permutations of the through-blocks; for noncrossing categories only the
-    identity permutation can occur and the search collapses to one test.
+    Any witness has the form q_u* r_sigma p_u, so the search runs over
+    permutations sigma of the through-blocks.  In a noncrossing category
+    every witness but the one of the identity crosses, so a single test
+    decides.
     """
-    from .categories import contains, is_noncrossing_spec
-
     if not (is_projective(p) and is_projective(q)):
         raise ValueError("equivalence is defined for projective diagrams")
     if not (contains(spec, p) and contains(spec, q)):
         raise ValueError("both diagrams must belong to the category")
-    tp, tq = stats(p).t, stats(q).t
-    if tp != tq:
+    t = stats(p).t
+    if stats(q).t != t:
         return False
     if p == q:
         return True
-    if p.upper == q.upper and (
-        not p.colored or p.upper_colors() == q.lower_colors()
-    ):
-        pq = compose(p, q).partition
-        if stats(pq).t == tp:
-            return True
     pu = upper_building(p)
     qu_star = involution(upper_building(q))
-    if is_noncrossing_spec(spec):
-        sigmas: Iterable[Permutation] = [tuple(range(tp))]
-    else:
-        if tp > SYM_SEARCH_CAP:
-            raise ValueError(
-                f"through-block count {tp} exceeds the search cap {SYM_SEARCH_CAP}"
-            )
-        sigmas = permutations(range(tp))
-    for sigma in sigmas:
-        witness = compose_chain(
-            qu_star, to_through_partition(tuple(sigma), p.colored), pu
-        )
-        if contains(spec, witness):
-            return True
-    return False
+    return any(
+        contains(spec, _witness(qu_star, sigma, pu))
+        for sigma in _sigmas(spec, t)
+    )
 
 
 def _equivalence_classes(
-    spec: "CategorySpec", members: Iterable[Partition]
+    spec: CategorySpec, members: Iterable[Partition]
 ) -> list[list[Partition]]:
     """Projective members grouped by :func:`equivalent`, each compared with
     the first member of every class so far; classes and their members keep
@@ -377,7 +378,6 @@ def _mixing_from_pairs(
     l: int,
     pairs: Sequence[tuple[int, int]],
     closed: Sequence[bool],
-    colored: bool = False,
 ) -> MixingPartition:
     """Assemble the diagram from cross pairs; columns not in a pair stay vertical."""
     n = k + l
@@ -392,8 +392,7 @@ def _mixing_from_pairs(
         else:
             blocks.append((a, b))
             blocks.append((n + a, n + b))
-    colors = (WHITE,) * (2 * n) if colored else None
-    return MixingPartition(k, l, Partition.make(n, n, blocks, colors))
+    return MixingPartition(k, l, Partition.make(n, n, blocks))
 
 
 def enumerate_mixing(k: int, l: int) -> list[MixingPartition]:

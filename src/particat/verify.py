@@ -209,6 +209,8 @@ def suite_fusion(max_row_points: int = 2) -> dict:
 
 
 def run_suite(name: str, N: int = 3, max_points: int = 6) -> dict:
+    if max_points < 0:
+        raise ValueError(f"max_points must be nonnegative, got {max_points}")
     if name == "functor":
         return suite_functor(N=N, max_points=max_points)
     if name == "structure":

@@ -229,6 +229,39 @@ class TestTable:
         assert rows[(2, 2)] == [0, 2, 4]
 
 
+class TestNonsenseInputs:
+    """Negative sizes, N < 1 and non-projective symmetry requests are
+    refused with exit 2 rather than answered or ended in a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--category", "nc", "--max-label", "-1"],
+            ["verify", "--suite", "structure", "--max-points", "-1"],
+            ["verify", "--suite", "functor", "--max-points", "-4"],
+            ["brauer", "--category", "p2", "--N", "0",
+             "--left", "aa:bb", "--right", "aa:bb"],
+            ["brauer", "--category", "p2", "--N", "-1",
+             "--left", "ab:ab", "--right", "aa:bb"],
+            ["brauer", "--category", "p2", "--k", "-1", "--N", "2"],
+            ["sym", "--category", "p", "--partition", "ab:ba"],
+            ["sym", "--category", "nc", "--partition", "aab:acc"],
+        ],
+        ids=[
+            "table-max-label",
+            "verify-structure-max-points",
+            "verify-functor-max-points",
+            "brauer-product-N0",
+            "brauer-product-N-negative",
+            "brauer-kernel-k-negative",
+            "sym-crossing",
+            "sym-non-projective-nc",
+        ],
+    )
+    def test_exit_parse(self, capsys, argv):
+        assert run_error(capsys, argv) == EXIT_PARSE
+
+
 class TestOutputContract:
     def test_byte_identical_runs(self, capsys):
         argv = ["fuse", "--category", "nceven", "--left", "01", "--right", "10"]

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from particat.partition import (
     ArityError,
@@ -26,11 +27,109 @@ from particat.partition import (
     serialize,
     stats,
     tensor,
+    _flip,
 )
 
 P1 = parse_partition("aab:accc")  # three blocks, one through
 P2_CROSSING = Partition.make(2, 2, [(0, 3), (1, 2)])
 P5_NESTED = Partition.make(4, 4, [(0, 3), (1, 2), (4, 7), (5, 6)])
+
+
+# ---------------------------------------------------------------------------
+# oracles: rotation by per-corner remap tables and the pairwise crossing test,
+# the library's former implementations
+
+
+def rotate_by_tables(p: Partition, corner: str) -> Partition:
+    """Move one outermost point to the other row, keeping all strings.
+
+    ``ul``: leftmost upper point becomes leftmost lower point.
+    ``ll``: leftmost lower point becomes leftmost upper point.
+    ``ur``: rightmost upper point becomes rightmost lower point.
+    ``lr``: rightmost lower point becomes rightmost upper point.
+
+    In colored mode the moved point's color flips.
+    """
+    k, l = p.upper, p.lower
+    if corner in ("ul", "ur"):
+        if k == 0:
+            raise ArityError("upper row is empty")
+        new_k, new_l = k - 1, l + 1
+        moved = 0 if corner == "ul" else k - 1
+        if corner == "ul":
+            # old upper i>0 -> i-1; old point 0 -> leftmost lower; lowers shift by 1
+            remap = {0: new_k}
+            for i in range(1, k):
+                remap[i] = i - 1
+            for j in range(l):
+                remap[k + j] = new_k + 1 + j
+        else:
+            # old upper k-1 -> rightmost lower; lowers keep their slots
+            remap = {k - 1: new_k + l}
+            for i in range(k - 1):
+                remap[i] = i
+            for j in range(l):
+                remap[k + j] = new_k + j
+    else:
+        if l == 0:
+            raise ArityError("lower row is empty")
+        new_k, new_l = k + 1, l - 1
+        moved = k if corner == "ll" else k + l - 1
+        if corner == "ll":
+            remap = {k: 0}
+            for i in range(k):
+                remap[i] = i + 1
+            for j in range(1, l):
+                remap[k + j] = new_k + j - 1
+        else:
+            remap = {k + l - 1: k}
+            for i in range(k):
+                remap[i] = i
+            for j in range(l - 1):
+                remap[k + j] = new_k + j
+    blocks = [tuple(remap[x] for x in b) for b in p.blocks]
+    colors = None
+    if p.colored:
+        assert p.colors is not None
+        new_colors = [""] * (k + l)
+        for old, new in remap.items():
+            c = p.colors[old]
+            new_colors[new] = _flip(c) if old == moved else c
+        colors = tuple(new_colors)
+    return Partition.make(new_k, new_l, blocks, colors)
+
+
+def _boundary_positions(p: Partition) -> list[int]:
+    """Position of each point on the diagram boundary, walked clockwise.
+
+    Upper points come first left to right, then the lower points right to
+    left, so strings can be drawn inside the disk without crossings exactly
+    when no two blocks interleave in this order.
+    """
+    k, l = p.upper, p.lower
+    pos = [0] * (k + l)
+    for i in range(k):
+        pos[i] = i
+    for j in range(l):
+        pos[k + j] = k + (l - 1 - j)
+    return pos
+
+
+def is_noncrossing_pairwise(p: Partition) -> bool:
+    """True when no two blocks interleave in the cyclic boundary order."""
+    pos = _boundary_positions(p)
+    occ = [sorted(pos[x] for x in b) for b in p.blocks]
+    nb = len(occ)
+    for i in range(nb):
+        for j in range(i + 1, nb):
+            merged = sorted((q, 0) for q in occ[i]) + sorted((q, 1) for q in occ[j])
+            merged.sort()
+            changes = sum(
+                1 for a, bb in zip(merged, merged[1:]) if a[1] != bb[1]
+            )
+            if changes >= 3:
+                return False
+    return True
 
 
 def rand_rng():
@@ -272,6 +371,55 @@ class TestRotate:
     def test_empty_row_rejected(self):
         with pytest.raises(ArityError):
             rotate(parse_partition(":a"), "ul")
+
+
+def _rotation_or_error(rotation, p: Partition, corner: str):
+    try:
+        return rotation(p, corner)
+    except ArityError as exc:
+        return ArityError, str(exc)
+
+
+@st.composite
+def colored_partitions(draw, max_row=4):
+    k = draw(st.integers(0, max_row))
+    l = draw(st.integers(0, max_row))
+    blocks: list[list[int]] = []
+    for x in range(k + l):  # a restricted growth string
+        choice = draw(st.integers(0, len(blocks)))
+        if choice == len(blocks):
+            blocks.append([x])
+        else:
+            blocks[choice].append(x)
+    colors = draw(st.lists(st.sampled_from("wb"), min_size=k + l, max_size=k + l))
+    return Partition.make(k, l, blocks, colors)
+
+
+class TestBoundaryWalk:
+    """The boundary walk against the per-corner tables and the pairwise
+    crossing test it replaced."""
+
+    CORNERS = ("ul", "ll", "ur", "lr")
+
+    def test_matches_oracles_up_to_eight_points(self):
+        for n in range(9):
+            for blocks in all_set_partitions(n):
+                for k in range(n + 1):
+                    p = Partition(k, n - k, tuple(sorted(blocks)))
+                    assert is_noncrossing(p) == is_noncrossing_pairwise(p)
+                    for corner in self.CORNERS:
+                        assert _rotation_or_error(
+                            rotate, p, corner
+                        ) == _rotation_or_error(rotate_by_tables, p, corner)
+
+    @settings(max_examples=80, deadline=None)
+    @given(colored_partitions())
+    def test_matches_oracles_colored(self, p):
+        assert is_noncrossing(p) == is_noncrossing_pairwise(p)
+        for corner in self.CORNERS:
+            assert _rotation_or_error(rotate, p, corner) == _rotation_or_error(
+                rotate_by_tables, p, corner
+            )
 
 
 class TestPredicates:

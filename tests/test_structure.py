@@ -24,7 +24,10 @@ from particat.partition import (
 )
 from particat.structure import (
     MIXING_CAP,
+    SYM_SEARCH_CAP,
+    _equivalence_classes,
     boxvert,
+    compose_chain,
     dominates,
     enumerate_mixing,
     equivalent,
@@ -37,13 +40,16 @@ from particat.structure import (
     sym_group,
     through_block_decomposition,
     to_through_partition,
+    upper_building,
     word_h,
     word_u,
 )
 from particat.categories import (
+    BUILTIN_IDS,
     BoundsExceededError,
     CategorySpec,
     contains,
+    is_noncrossing_spec,
     projectives,
 )
 
@@ -55,6 +61,91 @@ NC2 = CategorySpec.named("nc2")
 NCEVEN = CategorySpec.named("nceven")
 UCOL = CategorySpec.named("ucol")
 P_ALL = CategorySpec.named("p")
+
+
+# ---------------------------------------------------------------------------
+# oracles: the library's former symmetry-group search (every permutation, in
+# every category) and its former equivalence test (a composition pre-check,
+# then the witness search)
+
+
+def sym_group_full_search(spec, p):
+    """All permutations sigma with p_sigma still in the category.
+
+    Always a subgroup of the full symmetric group on the through-blocks.
+    """
+    if not contains(spec, p):
+        raise ValueError("p does not belong to the category")
+    t = stats(p).t
+    if t == 0:
+        raise ValueError("the symmetry group needs at least one through-block")
+    if t > SYM_SEARCH_CAP:
+        raise ValueError(
+            f"through-block count {t} exceeds the search cap {SYM_SEARCH_CAP}"
+        )
+    pu = upper_building(p)
+    pu_star = involution(pu)
+    out = []
+    for sigma in permutations(range(t)):
+        cand = compose_chain(
+            pu_star, to_through_partition(sigma, p.colored), pu
+        )
+        if contains(spec, cand):
+            out.append(tuple(sigma))
+    return out
+
+
+def equivalent_with_precheck(spec, p, q):
+    """Whether some r in the category has r*r = p and rr* = q.
+
+    Any witness must be of the form q_u* r_sigma p_u, so the search runs over
+    permutations of the through-blocks; for noncrossing categories only the
+    identity permutation can occur and the search collapses to one test.
+    """
+    if not (is_projective(p) and is_projective(q)):
+        raise ValueError("equivalence is defined for projective diagrams")
+    if not (contains(spec, p) and contains(spec, q)):
+        raise ValueError("both diagrams must belong to the category")
+    tp, tq = stats(p).t, stats(q).t
+    if tp != tq:
+        return False
+    if p == q:
+        return True
+    if p.upper == q.upper and (
+        not p.colored or p.upper_colors() == q.lower_colors()
+    ):
+        pq = compose(p, q).partition
+        if stats(pq).t == tp:
+            return True
+    pu = upper_building(p)
+    qu_star = involution(upper_building(q))
+    if is_noncrossing_spec(spec):
+        sigmas = [tuple(range(tp))]
+    else:
+        if tp > SYM_SEARCH_CAP:
+            raise ValueError(
+                f"through-block count {tp} exceeds the search cap {SYM_SEARCH_CAP}"
+            )
+        sigmas = permutations(range(tp))
+    for sigma in sigmas:
+        witness = compose_chain(
+            qu_star, to_through_partition(tuple(sigma), p.colored), pu
+        )
+        if contains(spec, witness):
+            return True
+    return False
+
+
+# generator and point bound; the colored crossing's closure at 8 points
+# (16,027 members) is beyond categories.CLOSURE_CAP
+GENERATED = (
+    ("ab:ba", 8),
+    ("abc:cba", 8),
+    ("abc:cab", 8),
+    ("aa:aa", 8),
+    (":a", 8),
+    ("ab@wb:ba@bw", 6),
+)
 
 
 def rand_rng():
@@ -225,10 +316,17 @@ class TestPSigma:
 
 class TestSymGroup:
     def test_noncrossing_trivial(self):
-        for p in projectives(NC, 3):
-            if stats(p).t == 0:
-                continue
-            assert sym_group(NC, p) == [tuple(range(stats(p).t))]
+        for spec in (NC, NC2, CategorySpec.named("ncb")):
+            for k in range(5):
+                for p in projectives(spec, k):
+                    t = stats(p).t
+                    if t:
+                        # the full search confirms the noncrossing rule
+                        assert (
+                            sym_group(spec, p)
+                            == sym_group_full_search(spec, p)
+                            == [tuple(range(t))]
+                        )
 
     def test_full_group_with_crossing(self):
         group = sym_group(P_ALL, identity(3))
@@ -251,7 +349,44 @@ class TestSymGroup:
                 assert tuple(a[b[i]] for i in range(len(b))) in group
 
 
+    @pytest.mark.parametrize("name", ["p", "p2"])
+    def test_matches_full_search(self, name):
+        spec = CategorySpec.named(name)
+        for k in range(4):
+            for p in projectives(spec, k):
+                if stats(p).t:
+                    assert sym_group(spec, p) == sym_group_full_search(spec, p)
+
+    def test_refuses_non_projective(self):
+        with pytest.raises(ValueError):
+            sym_group(P_ALL, parse_partition("ab:ba"))
+        with pytest.raises(ValueError):
+            sym_group(NC, parse_partition("aab:acc"))
+
+
 class TestEquivalence:
+    @pytest.mark.parametrize(
+        "spec",
+        [CategorySpec.named(name) for name in BUILTIN_IDS]
+        + [
+            CategorySpec(generators=(parse_partition(text),), max_points=bound)
+            for text, bound in GENERATED
+        ],
+        ids=list(BUILTIN_IDS) + [f"gen:{text}" for text, _ in GENERATED],
+    )
+    def test_classes_match_oracle(self, spec):
+        for k in range(4):
+            members = projectives(spec, k)
+            want: list[list[Partition]] = []
+            for p in members:
+                for cls in want:
+                    if equivalent_with_precheck(spec, cls[0], p):
+                        cls.append(p)
+                        break
+                else:
+                    want.append([p])
+            assert _equivalence_classes(spec, members) == want
+
     def test_hyperoctahedral_neighbours_differ(self):
         p = tensor(FOURBLOCK, identity(1))
         q = tensor(identity(1), FOURBLOCK)
@@ -284,8 +419,6 @@ class TestEquivalence:
 
 
 def _equivalent_full_search(spec, p, q):
-    from particat.structure import upper_building, compose_chain
-
     tp, tq = stats(p).t, stats(q).t
     if tp != tq:
         return False
