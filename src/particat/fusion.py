@@ -22,7 +22,9 @@ empty or the letter fusion is undefined).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Optional, Union
 
 from .partition import (
@@ -240,38 +242,17 @@ def fusion_brute_force(
 
 def _runs_encode(word: str) -> str:
     """Run-length form of a w/b word: 'wwb' -> '2w1b'; empty word -> ''."""
-    if not word:
-        return ""
-    out = []
-    cur = word[0]
-    count = 1
-    for ch in word[1:]:
-        if ch == cur:
-            count += 1
-        else:
-            out.append(f"{count}{cur}")
-            cur, count = ch, 1
-    out.append(f"{count}{cur}")
-    return "".join(out)
+    return "".join(f"{len(list(run))}{ch}" for ch, run in groupby(word))
+
+
+_RUN = rf"(\d*)([{WHITE}{BLACK}])"
 
 
 def runs_decode(text: str) -> str:
     """Inverse of the run-length form; also accepts a plain w/b word."""
-    if set(text) <= {WHITE, BLACK}:
-        return text
-    word = []
-    num = ""
-    for ch in text:
-        if ch.isdigit():
-            num += ch
-        elif ch in (WHITE, BLACK):
-            word.append(ch * int(num or "1"))
-            num = ""
-        else:
-            raise ValueError(f"bad alternating word {text!r}")
-    if num:
+    if not re.fullmatch(f"(?:{_RUN})*", text):
         raise ValueError(f"bad alternating word {text!r}")
-    return "".join(word)
+    return "".join(ch * int(n or "1") for n, ch in re.findall(_RUN, text))
 
 
 def label_for(spec: CategorySpec, p: Partition) -> FusionLabel:

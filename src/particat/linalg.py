@@ -17,15 +17,10 @@ from math import gcd, lcm
 import numpy as np
 
 __all__ = [
-    "zeros_matrix",
     "rank",
     "projection_onto_columns",
     "SparseEchelon",
 ]
-
-
-def zeros_matrix(n: int, m: int) -> np.ndarray:
-    return np.full((n, m), Fraction(0), dtype=object)
 
 
 def rank(a: np.ndarray) -> int:

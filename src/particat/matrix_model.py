@@ -68,7 +68,7 @@ PROJECTION_ENTRIES_CAP = 2 * 10**7
 class MapModel:
     """The 0/1 matrix of a diagram plus its normalization data.
 
-    ``matrix`` has shape (N^l, N^k) with exact integer entries; the
+    ``matrix`` has shape (N^l, N^k) with int64 0/1 entries; the
     normalized map is N^(half_exponent / 2) * matrix, with
     half_exponent = -beta(p).  For projective diagrams beta is even, so the
     normalized matrix is rational and no square root is ever needed.
@@ -90,12 +90,7 @@ class MapModel:
                 "irrational and is not materialized"
             )
         scale = Fraction(1, self.N ** (-self.half_exponent // 2))
-        out = np.empty(self.matrix.shape, dtype=object)
-        flat_in = self.matrix.ravel()
-        flat_out = out.ravel()
-        for idx in range(flat_in.size):
-            flat_out[idx] = scale * int(flat_in[idx])
-        return out
+        return scale * self.matrix.astype(object)
 
 
 # ---------------------------------------------------------------------------
@@ -103,66 +98,92 @@ class MapModel:
 #
 # For one row of a diagram, every assignment of values 0..N-1 to the row's
 # points either violates some block (two points of one block with different
-# values) or induces one value per through-block.  Encoding those values as a
-# single base-N code gives, per side, a validity mask and a code vector; the
-# matrix entry (j, i) is then "both valid and codes equal".
+# values) or induces one value per through-block.  The row's signature holds
+# per assignment those values as a single base-N code, or -1 for a violating
+# one; the matrix entry (j, i) is then "codes equal and not -1".
+#
+# The signature depends only on the row's pattern: each point of the row is
+# tagged 2 * (index of its block among the blocks meeting the row, in block
+# order) + (1 for a through-block).  Through-blocks keep the block order on
+# both rows, so the upper and the lower codes line up.
 
 
-_DIGITS_CACHE: dict[tuple[int, int], list[np.ndarray]] = {}
+# both keyed by (N, *pattern): the signature, and the codes it realizes as
+# an int with bit c set for each realized code c
+_SIGNATURES: dict[tuple[int, ...], np.ndarray] = {}
+_ROW_CODES: dict[tuple[int, ...], int] = {}
 
 
-def _digit_arrays(n: int, N: int) -> list[np.ndarray]:
-    key = (n, N)
-    cached = _DIGITS_CACHE.get(key)
-    if cached is None:
-        flat = np.arange(N**n, dtype=np.int64)
-        cached = [(flat // (N ** (n - 1 - pos))) % N for pos in range(n)]
-        _DIGITS_CACHE[key] = cached
-    return cached
-
-
-def _row_signatures(
-    p: Partition, side: str, N: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _row_pattern(p: Partition, upper: bool) -> tuple[int, ...]:
+    """The tags of the upper (or lower) row's points, left to right."""
     k = p.upper
-    n = k if side == "upper" else p.lower
-    offset = 0 if side == "upper" else k
-    total = N**n
-    digits = _digit_arrays(n, N)
-    valid = np.ones(total, dtype=bool)
-    code = np.zeros(total, dtype=np.int64)
-    through_index = 0
-    for b in p.blocks:
-        here = [x - offset for x in b if offset <= x < offset + n]
-        is_through = b[0] < k and b[-1] >= k
-        if here:
-            first = digits[here[0]]
-            for pos in here[1:]:
-                valid &= first == digits[pos]
-            if is_through:
-                code = code * N + first
-                through_index += 1
-        elif is_through:  # pragma: no cover - a through-block meets both rows
-            raise AssertionError
-    return valid, code
+    lo, hi = (0, k) if upper else (k, k + p.lower)
+    tags = [0] * (hi - lo)
+    row_blocks = [b for b in p.blocks if b[0] < hi and b[-1] >= lo]
+    for r, b in enumerate(row_blocks):
+        for x in b:
+            if lo <= x < hi:
+                tags[x - lo] = 2 * r + (b[0] < k <= b[-1])
+    return tuple(tags)
+
+
+def _row_signature(pattern: tuple[int, ...], N: int) -> np.ndarray:
+    """The code of every assignment to a row of this pattern, -1 where the
+    assignment violates a block."""
+    n = len(pattern)
+    digits = np.indices((N,) * n, dtype=np.int64).reshape(n, N**n)
+    valid = np.ones(N**n, dtype=bool)
+    code = np.zeros(N**n, dtype=np.int64)
+    for tag in sorted(set(pattern)):  # block order
+        first, *rest = [pos for pos, x in enumerate(pattern) if x == tag]
+        for pos in rest:
+            valid &= digits[first] == digits[pos]
+        if tag % 2:
+            code = code * N + digits[first]
+    code[~valid] = -1
+    return code
+
+
+def _signature(p: Partition, upper: bool, N: int) -> np.ndarray:
+    """The signature of one row of p, computed once per pattern and N."""
+    key = (N, *_row_pattern(p, upper))
+    sig = _SIGNATURES.get(key)
+    if sig is None:
+        sig = _SIGNATURES[key] = _row_signature(key[1:], N)
+    return sig
+
+
+def _realized_codes(p: Partition, N: int) -> int:
+    """The codes realized on both rows of p, as a bitmask; the codes of
+    each row are computed once per pattern and N."""
+    both = -1
+    for upper in (True, False):
+        key = (N, *_row_pattern(p, upper))
+        codes = _ROW_CODES.get(key)
+        if codes is None:
+            realized = set(_row_signature(key[1:], N).tolist()) - {-1}
+            codes = _ROW_CODES[key] = sum(1 << c for c in realized)
+        both &= codes
+    return both
 
 
 def t_map(p: Partition, N: int) -> MapModel:
-    """The exact 0/1 matrix of a diagram on (C^N)^k -> (C^N)^l."""
+    """The exact 0/1 matrix of a diagram on (C^N)^k -> (C^N)^l, in int64.
+
+    int64 is exact for products of these maps: the entries are 0/1, a
+    product entry sums at most N^mid <= MATRIX_ROWS_CAP ones, and the loop
+    factor N^loops of a composition is at most N^mid, since every removed
+    loop uses up a middle point.
+    """
     if N < 1:
         raise ValueError("N must be at least 1")
     if N ** max(p.upper, p.lower) > MATRIX_ROWS_CAP:
         raise ArityError(
             f"matrix would have more than {MATRIX_ROWS_CAP} rows or columns"
         )
-    valid_i, code_i = _row_signatures(p, "upper", N)
-    valid_j, code_j = _row_signatures(p, "lower", N)
-    m = (
-        valid_j[:, None]
-        & valid_i[None, :]
-        & (code_j[:, None] == code_i[None, :])
-    ).astype(np.int64)
-    return MapModel(m.astype(object), -stats(p).beta, N)
+    code_i, code_j = _signature(p, True, N), _signature(p, False, N)
+    m = ((code_j[:, None] == code_i) & (code_i >= 0)).astype(np.int64)
+    return MapModel(m, -stats(p).beta, N)
 
 
 def t_map_rank(p: Partition, N: int) -> int:
@@ -172,29 +193,23 @@ def t_map_rank(p: Partition, N: int) -> int:
     different codes have disjoint supports (the rows hitting a column are
     exactly the valid j whose code matches it), so the distinct nonzero
     columns are linearly independent and the rank is the number of codes
-    realized on both sides.
+    realized on both sides.  The codes of a row depend only on its pattern
+    and on N, so they are computed once per key ``(N, *pattern)``, a flat
+    tuple of small ints, and kept as a bitmask.
     """
-    valid_i, code_i = _row_signatures(p, "upper", N)
-    valid_j, code_j = _row_signatures(p, "lower", N)
-    upper_codes = np.unique(code_i[valid_i])
-    lower_codes = np.unique(code_j[valid_j])
-    return int(np.intersect1d(upper_codes, lower_codes).size)
+    return _realized_codes(p, N).bit_count()
 
 
 def _sparse_columns(p: Partition, N: int) -> list[dict[int, Fraction]]:
     """The distinct nonzero columns of t_map(p, N) as sparse 0/1 vectors."""
-    valid_i, code_i = _row_signatures(p, "upper", N)
-    valid_j, code_j = _row_signatures(p, "lower", N)
-    realized = np.intersect1d(
-        np.unique(code_i[valid_i]), np.unique(code_j[valid_j])
-    )
+    code_j = _signature(p, False, N)
+    realized = _realized_codes(p, N)
     one = Fraction(1)
-    cols = []
-    rows_j = np.arange(code_j.size)
-    for tau in realized:
-        support = rows_j[valid_j & (code_j == tau)]
-        cols.append({int(r): one for r in support})
-    return cols
+    return [
+        {int(r): one for r in np.flatnonzero(code_j == tau)}
+        for tau in range(realized.bit_length())
+        if realized >> tau & 1
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +248,7 @@ def check_functor(bottom: Partition, top: Partition, N: int) -> dict:
         and (not bottom.colored or bottom.upper_colors() == top.lower_colors())
     ):
         comp, loops = compose(bottom, top)
+        assert N**loops <= N**bottom.upper <= MATRIX_ROWS_CAP  # int64 bound
         report["composition_rule"] = _eq(
             tb @ tt, (N**loops) * t_map(comp, N).matrix
         )
@@ -254,7 +270,10 @@ def check_functor(bottom: Partition, top: Partition, N: int) -> dict:
 
 def _map_family_rank(spec: CategorySpec, k: int, N: int) -> tuple[int, int]:
     """Member count of C(k, k) and the exact rank of its diagram maps,
-    each flattened to a sparse 0/1 vector."""
+    each flattened to a sparse 0/1 vector.  Defined for uncolored
+    categories (the maps ignore colors, so mixed colorings would alias)."""
+    if spec.colored:
+        raise ColorError("diagram-map ranks need an uncolored category")
     members = enumerate_in(spec, k, k)
     ech = linalg.SparseEchelon()
     one = Fraction(1)
@@ -269,11 +288,8 @@ def independent(spec: CategorySpec, k: int, N: int) -> dict:
 
     The family is linearly dependent exactly when the rank falls short of
     the member count.  The rank equals that of the Gram matrix
-    <T_p, T_q> = N^#blocks(p v q), which is never built.  Defined for
-    uncolored categories (the maps ignore colors, so mixed colorings would
-    alias)."""
-    if spec.colored:
-        raise ColorError("independence is an uncolored-category check")
+    <T_p, T_q> = N^#blocks(p v q), which is never built.  Raises
+    ``ColorError`` on a colored category."""
     count, rk = _map_family_rank(spec, k, N)
     return {
         "category": spec.name(),
@@ -326,10 +342,9 @@ def projection_matrix(spec: CategorySpec, p: Partition, N: int) -> np.ndarray:
     t_norm = t_map(p, N).normalized()
     if not cols:
         return t_norm
-    dense = linalg.zeros_matrix(dim, len(cols))
+    dense = np.zeros((dim, len(cols)), dtype=object)
     for cidx, col in enumerate(cols):
-        for r, val in col.items():
-            dense[r, cidx] = val
+        dense[list(col), cidx] = 1
     r_proj = linalg.projection_onto_columns(dense)
     return t_norm - r_proj
 
@@ -397,10 +412,6 @@ def class_projection(spec: CategorySpec, k: int, N: int) -> list[dict]:
 # the group-algebra comparison
 
 
-def _perm_compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a[b[i]] for i in range(len(a)))
-
-
 def psi_check(spec: CategorySpec, p: Partition, N: int) -> dict:
     """Compare the symmetry-group algebra with the self-intertwiners of p.
 
@@ -416,11 +427,11 @@ def psi_check(spec: CategorySpec, p: Partition, N: int) -> dict:
     for sigma in group:
         tsig = t_map(p_sigma(p, sigma), N).normalized()
         comp[sigma] = proj @ tsig @ proj
-    multiplicative = True
-    for a in group:
-        for b in group:
-            if not _eq(comp[a] @ comp[b], comp[_perm_compose(a, b)]):
-                multiplicative = False
+    multiplicative = all(
+        _eq(comp[a] @ comp[b], comp[tuple(a[x] for x in b)])
+        for a in group
+        for b in group
+    )
     identity_perm = tuple(range(len(group[0])))
     identity_maps_to_projection = _eq(comp[identity_perm], proj)
 
@@ -459,14 +470,9 @@ class BrauerElement:
 
     @staticmethod
     def from_dict(arity: int, data: dict[Partition, Fraction]) -> "BrauerElement":
-        items = [
-            (p, Fraction(c)) for p, c in data.items() if c != 0
-        ]
+        items = [(p, Fraction(c)) for p, c in data.items() if c != 0]
         items.sort(key=lambda pc: Partition.sort_key(pc[0]))
         return BrauerElement(arity, tuple(items))
-
-    def as_dict(self) -> dict[Partition, Fraction]:
-        return dict(self.terms)
 
 
 def brauer_element(p: Partition, coeff=1) -> BrauerElement:
@@ -501,6 +507,7 @@ def brauer_involution(x: BrauerElement) -> BrauerElement:
 
 def brauer_kernel_dim(spec: CategorySpec, k: int, N: int) -> int:
     """Dimension of the kernel of the algebra's matrix representation:
-    member count minus the rank of the family of flattened diagram maps."""
+    member count minus the rank of the family of flattened diagram maps.
+    Raises ``ColorError`` on a colored category."""
     count, rk = _map_family_rank(spec, k, N)
     return count - rk

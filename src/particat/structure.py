@@ -339,14 +339,18 @@ def equivalent(spec: CategorySpec, p: Partition, q: Partition) -> bool:
         raise ValueError("equivalence is defined for projective diagrams")
     if not (contains(spec, p) and contains(spec, q)):
         raise ValueError("both diagrams must belong to the category")
-    t = stats(p).t
-    if stats(q).t != t:
-        return False
-    if p == q:
-        return True
-    pu = upper_building(p)
-    qu_star = involution(upper_building(q))
-    return any(
+    return p == q or _equivalent(
+        spec, upper_building(p), involution(upper_building(q))
+    )
+
+
+def _equivalent(spec: CategorySpec, pu: Partition, qu_star: Partition) -> bool:
+    """:func:`equivalent` for distinct projective members p and q, read off
+    the upper building diagram ``pu`` of p and the turned-over one
+    ``qu_star`` of q, so a caller comparing many pairs builds them once per
+    member."""
+    t = pu.lower
+    return qu_star.upper == t and any(
         contains(spec, _witness(qu_star, sigma, pu))
         for sigma in _sigmas(spec, t)
     )
@@ -359,13 +363,17 @@ def _equivalence_classes(
     the first member of every class so far; classes and their members keep
     the order of first appearance."""
     classes: list[list[Partition]] = []
+    heads: list[Partition] = []  # upper building of each class's first member
     for p in members:
-        for cls in classes:
-            if equivalent(spec, cls[0], p):
+        pu = upper_building(p)
+        pu_star = involution(pu)
+        for head, cls in zip(heads, classes):
+            if _equivalent(spec, head, pu_star):
                 cls.append(p)
                 break
         else:
             classes.append([p])
+            heads.append(pu)
     return classes
 
 

@@ -208,6 +208,11 @@ class TestBrauer:
             {"partition": "aa:bb", "coefficient": "1/3"}
         ]
 
+    def test_kernel_mode_refuses_colored(self, capsys):
+        # the maps ignore colors, so a colored family would alias
+        argv = ["brauer", "--category", "ucol", "--k", "2", "--N", "2"]
+        assert run_error(capsys, argv) == EXIT_PARSE
+
 
 class TestSym:
     def test_full_symmetric_group(self, capsys):

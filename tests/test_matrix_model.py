@@ -1,15 +1,19 @@
 """Exact matrix realization: ranks, functoriality, projections, algebra."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from particat import linalg
+from particat import matrix_model as mm
 from particat.partition import (
     ArityError,
+    ColorError,
     Partition,
     all_set_partitions,
     compose,
@@ -45,10 +49,62 @@ NC = CategorySpec.named("nc")
 NC2 = CategorySpec.named("nc2")
 P_ALL = CategorySpec.named("p")
 P2 = CategorySpec.named("p2")
+UCOL = CategorySpec.named("ucol")
 
 
 def rand_rng():
     return random.Random(424242)
+
+
+def row_signatures_oracle(p, upper, N):
+    """Validity mask and through-block code of every assignment to one row,
+    read straight off the blocks of p."""
+    k = p.upper
+    n, offset = (k, 0) if upper else (p.lower, k)
+    flat = np.arange(N**n, dtype=np.int64)
+    digits = [(flat // (N ** (n - 1 - pos))) % N for pos in range(n)]
+    valid = np.ones(N**n, dtype=bool)
+    code = np.zeros(N**n, dtype=np.int64)
+    for b in p.blocks:
+        here = [x - offset for x in b if offset <= x < offset + n]
+        if here:
+            for pos in here[1:]:
+                valid &= digits[here[0]] == digits[pos]
+            if b[0] < k <= b[-1]:
+                code = code * N + digits[here[0]]
+    return valid, code
+
+
+def rank_by_unique(p, N):
+    """The rank as the number of codes realized on both rows, by np.unique
+    and np.intersect1d: the oracle of the cached row codes."""
+    valid_i, code_i = row_signatures_oracle(p, True, N)
+    valid_j, code_j = row_signatures_oracle(p, False, N)
+    upper_codes = np.unique(code_i[valid_i])
+    lower_codes = np.unique(code_j[valid_j])
+    return int(np.intersect1d(upper_codes, lower_codes).size)
+
+
+def every_diagram(max_row, max_points):
+    """Every uncolored diagram with at most ``max_row`` points per row and
+    ``max_points`` points in all."""
+    for n in range(max_points + 1):
+        for blocks in all_set_partitions(n):
+            for k in range(max(0, n - max_row), min(max_row, n) + 1):
+                yield Partition.make(k, n - k, blocks)
+
+
+@st.composite
+def diagrams_five_per_row(draw):
+    k, l = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    blocks: list[list[int]] = []
+    for x in range(k + l):  # a restricted growth string
+        choice = draw(st.integers(0, len(blocks)))
+        if choice == len(blocks):
+            blocks.append([x])
+        else:
+            blocks[choice].append(x)
+    return Partition.make(k, l, blocks)
 
 
 class TestTMap:
@@ -110,6 +166,54 @@ class TestTMap:
         assert model.half_exponent == -1
         with pytest.raises(ValueError):
             model.normalized()
+
+
+class TestCachedRank:
+    def test_matches_oracle_four_per_row(self, monkeypatch):
+        monkeypatch.setattr(mm, "_ROW_CODES", {})
+        pool = list(every_diagram(4, 8))
+        for N in (2, 3):
+            want = [rank_by_unique(p, N) for p in pool]
+            for _ in range(2):  # a cold cache, then a warm one
+                assert [t_map_rank(p, N) for p in pool] == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(diagrams_five_per_row(), st.sampled_from((2, 3)))
+    def test_matches_oracle_five_per_row(self, p, N):
+        for upper in (True, False):
+            mm._ROW_CODES.pop((N, *mm._row_pattern(p, upper)), None)
+        want = rank_by_unique(p, N)
+        assert t_map_rank(p, N) == want  # cold
+        assert t_map_rank(p, N) == want  # warm
+
+    @pytest.mark.parametrize(
+        "fn,cache,max_points",
+        [(t_map_rank, "_ROW_CODES", 7), (t_map, "_SIGNATURES", 5)],
+        ids=["t_map_rank", "t_map"],
+    )
+    def test_signatures_once_per_pattern(self, monkeypatch, fn, cache, max_points):
+        calls: Counter = Counter()
+        signature = mm._row_signature
+
+        def counting(pattern, N):
+            calls[(N, *pattern)] += 1
+            return signature(pattern, N)
+
+        monkeypatch.setattr(mm, "_row_signature", counting)
+        monkeypatch.setattr(mm, cache, {})
+        pool = list(every_diagram(max_points, max_points))
+        keys = set()
+        for N in (2, 3):
+            for p in pool:
+                fn(p, N)
+                fn(p, N)
+                for upper in (True, False):
+                    keys.add((N, *mm._row_pattern(p, upper)))
+        assert calls == Counter(keys)
+
+    def test_t_map_is_int64(self):
+        for p in every_diagram(3, 6):
+            assert t_map(p, 2).matrix.dtype == np.int64
 
 
 class TestFunctor:
@@ -196,6 +300,14 @@ class TestIndependence:
             == report["count"] - brauer_kernel_dim(spec, k, N)
             == gram.rank()
         )
+
+
+    def test_colored_category_refused(self):
+        # the maps ignore colors, so the colorings of one diagram alias
+        with pytest.raises(ColorError):
+            independent(UCOL, 2, 2)
+        with pytest.raises(ColorError):
+            brauer_kernel_dim(UCOL, 2, 2)
 
 
 class TestProjection:

@@ -22,6 +22,7 @@ from particat.partition import (
     tensor,
     conjugate_colors,
 )
+from particat import structure
 from particat.structure import (
     MIXING_CAP,
     SYM_SEARCH_CAP,
@@ -386,6 +387,18 @@ class TestEquivalence:
                 else:
                     want.append([p])
             assert _equivalence_classes(spec, members) == want
+
+    def test_classes_run_no_member_checks(self, monkeypatch):
+        # members of projectives() are checked already, so grouping them
+        # runs no projectivity test
+        members = projectives(P_ALL, 3)
+        want = _equivalence_classes(P_ALL, members)
+        checked = []
+        monkeypatch.setattr(
+            structure, "is_projective", lambda p: checked.append(p) or True
+        )
+        assert _equivalence_classes(P_ALL, members) == want
+        assert checked == []
 
     def test_hyperoctahedral_neighbours_differ(self):
         p = tensor(FOURBLOCK, identity(1))
