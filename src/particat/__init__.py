@@ -7,7 +7,7 @@ The subpackages split along the natural layers:
   symmetry groups, equivalence and mixing constructions
 * :mod:`particat.categories`  -- built-in and generated categories of diagrams
 * :mod:`particat.matrix_model`-- the exact 0/1 matrix realization and the
-  rational projection calculus built on it
+  projections built on it as integer orthogonal bases of their images
 * :mod:`particat.fusion`      -- fusion sets, tensor power decompositions and
   free fusion semirings
 * :mod:`particat.cli`         -- the command line surface

@@ -42,6 +42,7 @@ from .partition import (
 from .structure import (
     _dominates,
     _equivalence_classes,
+    _through_blocks,
     boxvert,
     enumerate_mixing,
     equivalent,
@@ -510,12 +511,9 @@ def freeness_probe(spec: CategorySpec, max_arity: int = 3) -> dict:
         words_seen: dict[tuple, list[Partition]] = {}
         for rec in decompose_power(spec, k):
             rep = rec["representative"]
-            kk = rep.upper
-            through = [
-                b for b in rep.blocks if b[0] < kk and b[-1] >= kk
-            ]
             word = tuple(
-                letter_of(_block_as_partition(rep, b)) for b in through
+                letter_of(_block_as_partition(rep, b))
+                for b in _through_blocks(rep)
             )
             if None in word:
                 complete = False

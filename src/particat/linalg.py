@@ -3,24 +3,29 @@ Exact linear algebra over the rationals.
 
 One elimination kernel, :class:`SparseEchelon`, reduces sparse vectors with
 :class:`fractions.Fraction` entries against an incremental echelon basis;
-:func:`rank` feeds it the rows of a matrix.  :func:`projection_onto_columns`
-needs no elimination at all: it runs Gram-Schmidt over the columns in
-integer arithmetic.  Dense matrices are numpy arrays with ``dtype=object``
-holding Python ints or Fractions, so no floating point ever enters.
+:func:`rank` feeds it the rows of a matrix.  Projections need none:
+:func:`orthogonal_basis` is Gram-Schmidt in integer arithmetic.  Dense
+matrices are numpy arrays with ``dtype=object`` holding Python ints or
+Fractions, so no floating point ever enters.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "rank",
+    "orthogonal_basis",
+    "basis_projection",
     "projection_onto_columns",
     "SparseEchelon",
 ]
+
+Basis = list[tuple[np.ndarray, int]]  # integer vectors u with <u, u>
 
 
 def rank(a: np.ndarray) -> int:
@@ -31,33 +36,42 @@ def rank(a: np.ndarray) -> int:
     return ech.rank
 
 
-def projection_onto_columns(a: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the column space of ``a``, exactly.
-
-    Gram-Schmidt in column order over integer vectors: each column, scaled
-    to integers, loses its components along the vectors kept so far
-    (u <- <v, v> u - <u, v> v stays integral; the common factor is then
-    divided out), and a zero remainder, a dependent column, is dropped.
-    The projection is the sum of u u^T / <u, u> over the kept vectors u.
-    """
-    n = a.shape[0]
-    kept: list[tuple[np.ndarray, int]] = []
-    for col in a.T:
-        scale = lcm(*(Fraction(x).denominator for x in col))
+def orthogonal_basis(cols: Iterable[np.ndarray], kept: Basis = ()) -> Basis:
+    """The pairs (u, <u, u>) of orthogonal integer vectors that ``cols``
+    add, in order, to the span of the pairs ``kept``: Gram-Schmidt where
+    each vector, scaled to integers, loses its components along the vectors
+    kept so far (u <- <v, v> u - <u, v> v stays integral; the common factor
+    is then divided out), and a zero remainder, a dependent vector, is
+    dropped."""
+    basis = list(kept)
+    start = len(basis)
+    for col in cols:
+        scale = lcm(*(x.denominator for x in col))
         u = np.array([int(x * scale) for x in col], dtype=object)
-        for v, vv in kept:
+        for v, vv in basis:
             c = u.dot(v)
             if c:
                 u = vv * u - c * v
         g = gcd(*u)
         if g:
             u //= g
-            kept.append((u, u.dot(u)))
-    denom = lcm(*(uu for _, uu in kept))
+            basis.append((u, u.dot(u)))
+    return basis[start:]
+
+
+def basis_projection(basis: Basis, n: int) -> np.ndarray:
+    """The projection onto the span of an orthogonal basis of length-``n``
+    vectors: the sum of u u^T / <u, u>, over one common denominator."""
+    denom = lcm(*(uu for _, uu in basis))
     total = np.zeros((n, n), dtype=object)
-    for u, uu in kept:
+    for u, uu in basis:
         total += np.outer(u, (denom // uu) * u)
     return total * Fraction(1, denom)
+
+
+def projection_onto_columns(a: np.ndarray) -> np.ndarray:
+    """Orthogonal projection onto the column space of ``a``, exactly."""
+    return basis_projection(orthogonal_basis(a.T), a.shape[0])
 
 
 class SparseEchelon:

@@ -3,20 +3,19 @@ Exact matrix realization of diagrams on (C^N)^(tensor k).
 
 A diagram p with k upper and l lower points acts by the 0/1 matrix whose
 (j, i) entry is 1 exactly when every block of p sees equal index values in
-the multi-indices i (upper row) and j (lower row).  The matrix is stored with
-exact integer entries, together with the normalization exponent -beta(p) so
-that the normalized map (the one that is a projection for projective p) is
-N^(-beta/2) times the 0/1 matrix.  Everything downstream -- functoriality
-checks, ranks of diagram-map families, the subtraction of dominated
-projections, class projections, the group-algebra comparison, and the
-twisted diagram algebra -- is computed in exact integer or rational
-arithmetic.
+the multi-indices i (upper row) and j (lower row); it is stored in int64.
+The projection attached to a projective member inside a category is carried
+as an integer orthogonal basis of its image.  Everything downstream --
+functoriality checks, ranks of diagram-map families, projections, class
+projections, the group-algebra comparison, and the twisted diagram algebra
+-- is computed in exact integer or rational arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 import numpy as np
@@ -42,7 +41,6 @@ from .structure import (
 from .categories import CategorySpec, contains, enumerate_in, projectives
 
 __all__ = [
-    "MapModel",
     "BrauerElement",
     "MATRIX_ROWS_CAP",
     "PROJECTION_ENTRIES_CAP",
@@ -62,35 +60,6 @@ __all__ = [
 
 MATRIX_ROWS_CAP = 4096
 PROJECTION_ENTRIES_CAP = 2 * 10**7
-
-
-@dataclass(frozen=True)
-class MapModel:
-    """The 0/1 matrix of a diagram plus its normalization data.
-
-    ``matrix`` has shape (N^l, N^k) with int64 0/1 entries; the
-    normalized map is N^(half_exponent / 2) * matrix, with
-    half_exponent = -beta(p).  For projective diagrams beta is even, so the
-    normalized matrix is rational and no square root is ever needed.
-    """
-
-    matrix: np.ndarray
-    half_exponent: int
-    N: int
-
-    def normalized(self) -> np.ndarray:
-        """The rational matrix N^(half_exponent/2) * matrix.
-
-        Raises when the exponent is odd (the normalization would then live
-        outside the rationals).
-        """
-        if self.half_exponent % 2 != 0:
-            raise ValueError(
-                "normalization exponent is odd; the normalized map is "
-                "irrational and is not materialized"
-            )
-        scale = Fraction(1, self.N ** (-self.half_exponent // 2))
-        return scale * self.matrix.astype(object)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +98,10 @@ def _row_pattern(p: Partition, upper: bool) -> tuple[int, ...]:
 
 def _row_signature(pattern: tuple[int, ...], N: int) -> np.ndarray:
     """The code of every assignment to a row of this pattern, -1 where the
-    assignment violates a block."""
+    assignment violates a block.  Every map and rank starts here on a cache
+    miss, so this is where a bad N is refused."""
+    if N < 1:
+        raise ValueError("N must be at least 1")
     n = len(pattern)
     digits = np.indices((N,) * n, dtype=np.int64).reshape(n, N**n)
     valid = np.ones(N**n, dtype=bool)
@@ -167,7 +139,14 @@ def _realized_codes(p: Partition, N: int) -> int:
     return both
 
 
-def t_map(p: Partition, N: int) -> MapModel:
+def _check_rows(n: int, N: int) -> None:
+    if N**n > MATRIX_ROWS_CAP:
+        raise ArityError(
+            f"matrix would have more than {MATRIX_ROWS_CAP} rows or columns"
+        )
+
+
+def t_map(p: Partition, N: int) -> np.ndarray:
     """The exact 0/1 matrix of a diagram on (C^N)^k -> (C^N)^l, in int64.
 
     int64 is exact for products of these maps: the entries are 0/1, a
@@ -175,15 +154,9 @@ def t_map(p: Partition, N: int) -> MapModel:
     factor N^loops of a composition is at most N^mid, since every removed
     loop uses up a middle point.
     """
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    if N ** max(p.upper, p.lower) > MATRIX_ROWS_CAP:
-        raise ArityError(
-            f"matrix would have more than {MATRIX_ROWS_CAP} rows or columns"
-        )
+    _check_rows(max(p.upper, p.lower), N)
     code_i, code_j = _signature(p, True, N), _signature(p, False, N)
-    m = ((code_j[:, None] == code_i) & (code_i >= 0)).astype(np.int64)
-    return MapModel(m, -stats(p).beta, N)
+    return ((code_j[:, None] == code_i) & (code_i >= 0)).astype(np.int64)
 
 
 def t_map_rank(p: Partition, N: int) -> int:
@@ -200,16 +173,17 @@ def t_map_rank(p: Partition, N: int) -> int:
     return _realized_codes(p, N).bit_count()
 
 
-def _sparse_columns(p: Partition, N: int) -> list[dict[int, Fraction]]:
-    """The distinct nonzero columns of t_map(p, N) as sparse 0/1 vectors."""
-    code_j = _signature(p, False, N)
-    realized = _realized_codes(p, N)
-    one = Fraction(1)
-    return [
-        {int(r): one for r in np.flatnonzero(code_j == tau)}
-        for tau in range(realized.bit_length())
-        if realized >> tau & 1
-    ]
+def _columns(members: list[Partition], N: int) -> list[dict[int, Fraction]]:
+    """The distinct nonzero columns of the members' maps, sparse 0/1."""
+    cols, one = [], Fraction(1)
+    for q in members:
+        code_j, realized = _signature(q, False, N), _realized_codes(q, N)
+        cols += [
+            dict.fromkeys(np.flatnonzero(code_j == tau).tolist(), one)
+            for tau in range(realized.bit_length())
+            if realized >> tau & 1
+        ]
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -229,20 +203,18 @@ def check_functor(bottom: Partition, top: Partition, N: int) -> dict:
     The tensor rule is skipped when the doubled arity would exceed the row
     cap.
     """
-    tb = t_map(bottom, N).matrix
-    tt = t_map(top, N).matrix
+    tb = t_map(bottom, N)
+    tt = t_map(top, N)
     report = {
         "N": N,
         "bottom": serialize(bottom),
         "top": serialize(top),
-        "involution_rule": _eq(t_map(involution(bottom), N).matrix, tb.T)
-        and _eq(t_map(involution(top), N).matrix, tt.T),
+        "involution_rule": _eq(t_map(involution(bottom), N), tb.T)
+        and _eq(t_map(involution(top), N), tt.T),
     }
     both = tensor(bottom, top)
     if N ** max(both.upper, both.lower) <= MATRIX_ROWS_CAP:
-        report["tensor_rule"] = _eq(
-            t_map(both, N).matrix, np.kron(tb, tt)
-        )
+        report["tensor_rule"] = _eq(t_map(both, N), np.kron(tb, tt))
     if bottom.upper == top.lower and (
         bottom.colored == top.colored
         and (not bottom.colored or bottom.upper_colors() == top.lower_colors())
@@ -250,7 +222,7 @@ def check_functor(bottom: Partition, top: Partition, N: int) -> dict:
         comp, loops = compose(bottom, top)
         assert N**loops <= N**bottom.upper <= MATRIX_ROWS_CAP  # int64 bound
         report["composition_rule"] = _eq(
-            tb @ tt, (N**loops) * t_map(comp, N).matrix
+            tb @ tt, (N**loops) * t_map(comp, N)
         )
         report["removed_loops"] = loops
     if (
@@ -278,7 +250,7 @@ def _map_family_rank(spec: CategorySpec, k: int, N: int) -> tuple[int, int]:
     ech = linalg.SparseEchelon()
     one = Fraction(1)
     for q in members:
-        flat = t_map(q, N).matrix.ravel()
+        flat = t_map(q, N).ravel()
         ech.insert({int(i): one for i in np.flatnonzero(flat)})
     return len(members), ech.rank
 
@@ -323,6 +295,32 @@ def _dominated_members(
     return [q for q in pool if q != p and _dominates(p, q)]
 
 
+def _check_caps(spec: CategorySpec, p: Partition, N: int) -> list[Partition]:
+    """The members below p, once p's projection passes the rows cap and
+    then the entry cap; the dominated column count is a sum of ranks, so
+    nothing is built before a refusal."""
+    _check_rows(p.upper, N)
+    below = _dominated_members(spec, p)
+    cols = sum(t_map_rank(q, N) for q in below)
+    if N**p.upper * max(1, cols) > PROJECTION_ENTRIES_CAP:
+        raise ArityError("projection solve exceeds the entry cap")
+    return below
+
+
+def _image_basis(p: Partition, below: list[Partition], N: int) -> linalg.Basis:
+    """An integer orthogonal basis of the image of p's projection: the
+    normalized map of p projects onto the span of p's distinct columns,
+    which holds the columns of every member below p, so the vectors that
+    p's columns add to a Gram-Schmidt over those columns span the image."""
+
+    def dense(qs: list[Partition]) -> list[np.ndarray]:
+        n = N**p.upper
+        return [np.bincount(list(c), minlength=n) for c in _columns(qs, N)]
+
+    kept = linalg.orthogonal_basis(dense(below))
+    return linalg.orthogonal_basis(dense([p]), kept)
+
+
 def projection_matrix(spec: CategorySpec, p: Partition, N: int) -> np.ndarray:
     """The rational projection attached to p inside the category: the
     normalized map of p minus the orthogonal projection onto the column
@@ -332,21 +330,8 @@ def projection_matrix(spec: CategorySpec, p: Partition, N: int) -> np.ndarray:
     this N; that is reported by rank, not treated as an error.
     """
     _check_member_projective(spec, p)
-    dim = N**p.upper
-    below = _dominated_members(spec, p)
-    cols: list[dict[int, Fraction]] = []
-    for q in below:
-        cols.extend(_sparse_columns(q, N))
-    if dim * max(1, len(cols)) > PROJECTION_ENTRIES_CAP:
-        raise ArityError("projection solve exceeds the entry cap")
-    t_norm = t_map(p, N).normalized()
-    if not cols:
-        return t_norm
-    dense = np.zeros((dim, len(cols)), dtype=object)
-    for cidx, col in enumerate(cols):
-        dense[list(col), cidx] = 1
-    r_proj = linalg.projection_onto_columns(dense)
-    return t_norm - r_proj
+    basis = _image_basis(p, _check_caps(spec, p, N), N)
+    return linalg.basis_projection(basis, N**p.upper)
 
 
 def projection_rank(spec: CategorySpec, p: Partition, N: int) -> int:
@@ -359,17 +344,9 @@ def projection_rank(spec: CategorySpec, p: Partition, N: int) -> int:
     """
     _check_member_projective(spec, p)
     ech = linalg.SparseEchelon()
-    for q in _dominated_members(spec, p):
-        for col in _sparse_columns(q, N):
-            ech.insert(col)
-    return N ** stats(p).t - ech.rank
-
-
-def _trace_rank(proj: np.ndarray) -> int:
-    """The rank of an exact orthogonal projection, read as its trace."""
-    trace = Fraction(sum(proj.diagonal()))
-    assert trace.denominator == 1
-    return int(trace)
+    for col in _columns(_dominated_members(spec, p), N):
+        ech.insert(col)
+    return t_map_rank(p, N) - ech.rank
 
 
 def class_projection(spec: CategorySpec, k: int, N: int) -> list[dict]:
@@ -381,15 +358,14 @@ def class_projection(spec: CategorySpec, k: int, N: int) -> list[dict]:
     the representative's projection, and their quotient when integral.
     """
     members = projectives(spec, k)
+    below = {q: _check_caps(spec, q, N) for q in members}
     records = []
     for cls in _equivalence_classes(spec, members):
         cls_sorted = sorted(cls, key=Partition.sort_key)
         rep = cls_sorted[0]
-        mats = [projection_matrix(spec, q, N) for q in cls_sorted]
-        stacked = np.concatenate(mats, axis=1)
-        class_proj = linalg.projection_onto_columns(stacked)
-        rank_class = _trace_rank(class_proj)
-        rank_rep = _trace_rank(mats[0])
+        bases = [_image_basis(q, below[q], N) for q in cls_sorted]
+        basis = linalg.orthogonal_basis(u for b in bases for u, _ in b)
+        rank_class, rank_rep = len(basis), len(bases[0])
         mult: Optional[int] = None
         if rank_rep and rank_class % rank_rep == 0:
             mult = rank_class // rank_rep
@@ -398,7 +374,7 @@ def class_projection(spec: CategorySpec, k: int, N: int) -> list[dict]:
                 "representative": rep,
                 "members": cls_sorted,
                 "t": stats(rep).t,
-                "projection": class_proj,
+                "projection": linalg.basis_projection(basis, N**k),
                 "rank_class": rank_class,
                 "rank_rep": rank_rep,
                 "multiplicity": mult,
@@ -419,28 +395,37 @@ def psi_check(spec: CategorySpec, p: Partition, N: int) -> dict:
     symmetry group, and computes the dimension of the span of all compressed
     diagram maps P T(q) P; that dimension never exceeds the group order and
     matches it when the diagram maps are independent.
+
+    With U the rows of p's image basis, D = U U^T is diagonal and
+    P X P = U^T D^-1 (U X U^T) D^-1 U is injective in M = U X U^T, so with
+    c = N^(beta/2) and L = lcm(D) the checks read M_a (L D^-1) M_b = L c M_ab
+    and M_id = c D, on M_q = U T(q) U^T.
     """
     _check_member_projective(spec, p)
     group = sym_group(spec, p)
-    proj = projection_matrix(spec, p, N)
-    comp: dict[tuple[int, ...], np.ndarray] = {}
-    for sigma in group:
-        tsig = t_map(p_sigma(p, sigma), N).normalized()
-        comp[sigma] = proj @ tsig @ proj
+    basis = _image_basis(p, _check_caps(spec, p, N), N)
+    u = np.array([v for v, _ in basis], dtype=object).reshape(-1, N**p.upper)
+    d = np.array([vv for _, vv in basis], dtype=object)
+    c = N ** (stats(p).beta // 2)
+
+    def compressed(q: Partition) -> np.ndarray:
+        return u @ t_map(q, N) @ u.T
+
+    comp = {sigma: compressed(p_sigma(p, sigma)) for sigma in group}
+    l_over_d, lc = (lcm(*d) // d)[:, None], lcm(*d) * c
     multiplicative = all(
-        _eq(comp[a] @ comp[b], comp[tuple(a[x] for x in b)])
+        _eq(comp[a] @ (l_over_d * comp[b]), lc * comp[tuple(a[x] for x in b)])
         for a in group
         for b in group
     )
     identity_perm = tuple(range(len(group[0])))
-    identity_maps_to_projection = _eq(comp[identity_perm], proj)
+    identity_maps_to_projection = _eq(comp[identity_perm], c * np.diag(d))
 
-    vectors = []
-    for q in enumerate_in(spec, p.upper, p.upper):
-        if q.colored and q.colors != p.colors:
-            continue
-        tq = t_map(q, N).matrix.astype(object)
-        vectors.append((proj @ tq @ proj).ravel())
+    vectors = [
+        compressed(q).ravel()
+        for q in enumerate_in(spec, p.upper, p.upper)
+        if not (q.colored and q.colors != p.colors)
+    ]
     dim_aut = linalg.rank(np.array(vectors, dtype=object)) if vectors else 0
     return {
         "category": spec.name(),

@@ -175,6 +175,10 @@ class TestDecompose:
         argv = ["decompose", "--category", "nc", "--power", "-1"]
         assert run_error(capsys, argv) == EXIT_PARSE
 
+    def test_projection_cap_exit(self, capsys):
+        argv = ["decompose", "--category", "nc", "--power", "5", "--N", "5"]
+        assert run_error(capsys, argv) == EXIT_PARSE
+
 
 class TestVerify:
     def test_functor_suite(self, capsys):

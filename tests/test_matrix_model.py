@@ -26,7 +26,12 @@ from particat.partition import (
     stats,
     tensor,
 )
-from particat.structure import dominates, strictly_dominates
+from particat.structure import (
+    dominates,
+    p_sigma,
+    strictly_dominates,
+    sym_group,
+)
 from particat.categories import CategorySpec, enumerate_in, projectives
 from particat.matrix_model import (
     brauer_element,
@@ -85,6 +90,94 @@ def rank_by_unique(p, N):
     return int(np.intersect1d(upper_codes, lower_codes).size)
 
 
+def normalized(p, N):
+    """The normalized map N^(-beta/2) T_p as a Fraction matrix, for a
+    diagram with even beta."""
+    beta = stats(p).beta
+    assert beta % 2 == 0
+    return Fraction(1, N ** (beta // 2)) * t_map(p, N).astype(object)
+
+
+def trace_rank(proj):
+    """The rank of an exact orthogonal projection, read as its trace."""
+    trace = Fraction(sum(proj.diagonal()))
+    assert trace.denominator == 1
+    return int(trace)
+
+
+def projection_oracle(spec, p, N):
+    """The dense projection of p: its normalized map minus the projection
+    onto the distinct columns of the maps of the projective members that p
+    strictly dominates."""
+    cols = []
+    for q in projectives(spec, p.upper):
+        if q.colored and q.upper_colors() != p.upper_colors():
+            continue
+        if q != p and dominates(p, q):
+            cols.extend(c for c in np.unique(t_map(q, N).T, axis=0) if c.any())
+    if not cols:
+        return normalized(p, N)
+    dense = np.array(cols, dtype=object).T
+    return normalized(p, N) - linalg.projection_onto_columns(dense)
+
+
+def class_oracle(spec, members, N):
+    """The dense class projection of one class and its two trace ranks."""
+    mats = [projection_oracle(spec, q, N) for q in members]
+    proj = linalg.projection_onto_columns(np.concatenate(mats, axis=1))
+    return proj, trace_rank(proj), trace_rank(mats[0])
+
+
+def psi_oracle(spec, p, N):
+    """The group-algebra comparison on dense Fraction matrices."""
+    group = sym_group(spec, p)
+    proj = projection_oracle(spec, p, N)
+    comp = {
+        sigma: proj @ normalized(p_sigma(p, sigma), N) @ proj
+        for sigma in group
+    }
+    multiplicative = all(
+        np.array_equal(comp[a] @ comp[b], comp[tuple(a[x] for x in b)])
+        for a in group
+        for b in group
+    )
+    identity_maps_to_projection = np.array_equal(
+        comp[tuple(range(len(group[0])))], proj
+    )
+    vectors = [
+        (proj @ t_map(q, N).astype(object) @ proj).ravel()
+        for q in enumerate_in(spec, p.upper, p.upper)
+        if not (q.colored and q.colors != p.colors)
+    ]
+    dim_aut = linalg.rank(np.array(vectors, dtype=object)) if vectors else 0
+    return {
+        "category": spec.name(),
+        "p": serialize(p),
+        "N": N,
+        "group_order": len(group),
+        "multiplicative": multiplicative,
+        "identity_maps_to_projection": identity_maps_to_projection,
+        "dim_aut": dim_aut,
+        "isomorphic": dim_aut == len(group),
+        "passed": multiplicative
+        and identity_maps_to_projection
+        and dim_aut <= len(group),
+    }
+
+
+# (category, k, N) of the differential tests against the dense oracles
+DENSE_CASES = [
+    ("nc", 2, 2),
+    ("nc", 2, 3),
+    ("p", 2, 2),
+    ("p", 2, 3),
+    ("ucol", 2, 2),
+    ("nc2", 3, 2),
+    ("nceven", 2, 2),
+    ("p2", 2, 3),
+]
+
+
 def every_diagram(max_row, max_points):
     """Every uncolored diagram with at most ``max_row`` points per row and
     ``max_points`` points in all."""
@@ -110,20 +203,12 @@ def diagrams_five_per_row(draw):
 class TestTMap:
     def test_identity_strands(self):
         for N in (2, 3, 4):
-            model = t_map(identity(1), N)
             assert np.array_equal(
-                model.matrix.astype(int), np.eye(N, dtype=int)
+                t_map(identity(1), N).astype(int), np.eye(N, dtype=int)
             )
-            assert model.half_exponent == 0
 
     def test_example_rank(self):
         assert t_map_rank(P1, 3) == 3 == 3 ** stats(P1).t
-
-    def test_normalization_exponent(self):
-        rng = rand_rng()
-        for _ in range(50):
-            p = random_partition(rng, rng.randrange(4), rng.randrange(4))
-            assert t_map(p, 2).half_exponent == -stats(p).beta
 
     def test_structured_rank_matches_elimination(self):
         # cross-check the signature-based rank against generic exact
@@ -135,7 +220,7 @@ class TestTMap:
                         continue
                     p = Partition.make(k, n - k, blocks)
                     for N in (2, 3):
-                        mat = t_map(p, N).matrix
+                        mat = t_map(p, N)
                         assert t_map_rank(p, N) == linalg.rank(mat)
 
     def test_rank_formula_small(self):
@@ -154,18 +239,12 @@ class TestTMap:
             q = random_partition(rng, k, l)
             if p == q:
                 continue
-            assert not np.array_equal(t_map(p, 2).matrix, t_map(q, 2).matrix)
+            assert not np.array_equal(t_map(p, 2), t_map(q, 2))
             seen += 1
 
     def test_size_cap(self):
         with pytest.raises(ArityError):
             t_map(identity(7), 4)
-
-    def test_odd_exponent_not_materialized(self):
-        model = t_map(parse_partition("a:ab"), 3)
-        assert model.half_exponent == -1
-        with pytest.raises(ValueError):
-            model.normalized()
 
 
 class TestCachedRank:
@@ -213,7 +292,7 @@ class TestCachedRank:
 
     def test_t_map_is_int64(self):
         for p in every_diagram(3, 6):
-            assert t_map(p, 2).matrix.dtype == np.int64
+            assert t_map(p, 2).dtype == np.int64
 
 
 class TestFunctor:
@@ -244,10 +323,10 @@ class TestFunctor:
         rng = rand_rng()
         for _ in range(60):
             p = random_partition(rng, rng.randrange(4), rng.randrange(4))
-            mat = t_map(p, 3).matrix
+            mat = t_map(p, 3)
             pp_star, loops = compose(p, involution(p))
             assert np.array_equal(
-                mat @ mat.T, (3**loops) * t_map(pp_star, 3).matrix
+                mat @ mat.T, (3**loops) * t_map(pp_star, 3)
             )
 
     def test_partial_isometry_rule_normalized(self):
@@ -260,8 +339,8 @@ class TestFunctor:
             pp_star, _ = compose(p, involution(p))
             if stats(p).beta % 2:
                 continue
-            tp = t_map(p, 3).normalized()
-            assert np.array_equal(tp @ tp.T, t_map(pp_star, 3).normalized())
+            tp = normalized(p, 3)
+            assert np.array_equal(tp @ tp.T, normalized(pp_star, 3))
             seen += 1
 
 
@@ -287,7 +366,7 @@ class TestIndependence:
         # the Gram matrix <T_p, T_q> of the map family, as an oracle
         spec = CategorySpec.named(name)
         mats = [
-            t_map(q, N).matrix.astype(np.int64)
+            t_map(q, N)
             for q in enumerate_in(spec, k, k)
         ]
         gram = sympy.Matrix(
@@ -314,7 +393,7 @@ class TestProjection:
     def test_singleton_pair_keeps_full_map(self):
         p0 = parse_partition("a:b")
         proj = projection_matrix(NC, p0, 4)
-        assert np.array_equal(proj, t_map(p0, 4).normalized())
+        assert np.array_equal(proj, normalized(p0, 4))
         assert linalg.rank(proj) == 1
 
     def test_strand_projection_rank(self):
@@ -339,7 +418,7 @@ class TestProjection:
             for q in enumerate_in(NC, 2, 2):
                 pqp = compose(compose(p, q).partition, p).partition
                 if stats(pqp).t < stats(p).t:
-                    got = proj @ t_map(q, N).matrix.astype(object) @ proj
+                    got = proj @ t_map(q, N).astype(object) @ proj
                     assert not got.any()
 
     def test_collapse_reported_not_raised(self):
@@ -391,6 +470,81 @@ class TestPsi:
     def test_identity_maps_to_projection(self):
         report = psi_check(P_ALL, identity(2), 3)
         assert report["identity_maps_to_projection"]
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("name,k,N", DENSE_CASES)
+    def test_matches_dense_oracle(self, name, k, N):
+        spec = CategorySpec.named(name)
+        for p in projectives(spec, k):
+            if stats(p).t == 0:
+                continue
+            assert psi_check(spec, p, N) == psi_oracle(spec, p, N)
+            got = projection_matrix(spec, p, N)
+            want = projection_oracle(spec, p, N)
+            assert got.shape == want.shape
+            assert got.tolist() == want.tolist()
+            assert all(type(x) is Fraction for x in got.ravel())
+        for rec in class_projection(spec, k, N):
+            proj, rank_class, rank_rep = class_oracle(spec, rec["members"], N)
+            assert rec["projection"].tolist() == proj.tolist()
+            assert (rec["rank_class"], rec["rank_rep"]) == (rank_class, rank_rep)
+
+    def test_vanished_projection(self):
+        # the two strands over C^2 have nothing left beyond the members
+        # they dominate, so every compression is zero
+        assert projection_rank(NC, identity(2), 2) == 0
+        report = psi_check(NC, identity(2), 2)
+        assert report["dim_aut"] == 0
+        assert report["passed"] and report["identity_maps_to_projection"]
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("N", [0, -1])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda N: t_map_rank(identity(1), N),
+            lambda N: t_map(identity(1), N),
+            lambda N: check_functor(identity(1), identity(1), N),
+            lambda N: independent(NC, 1, N),
+            lambda N: brauer_kernel_dim(NC, 1, N),
+            lambda N: projection_rank(NC, identity(1), N),
+            lambda N: projection_rank(NC, parse_partition("a:b"), N),
+            lambda N: projection_matrix(NC, identity(1), N),
+            lambda N: class_projection(NC, 1, N),
+            lambda N: psi_check(NC, identity(1), N),
+        ],
+        ids=[
+            "t_map_rank",
+            "t_map",
+            "check_functor",
+            "independent",
+            "brauer_kernel_dim",
+            "projection_rank",
+            "projection_rank_minimal",
+            "projection_matrix",
+            "class_projection",
+            "psi_check",
+        ],
+    )
+    def test_bad_N(self, call, N):
+        with pytest.raises(ValueError, match="N must be at least 1"):
+            call(N)
+
+    def test_caps_before_any_basis(self, monkeypatch):
+        # a budget of zero Gram-Schmidt runs: the first one fails at once
+        def no_basis(*args):
+            raise AssertionError("a basis was built before the caps")
+
+        monkeypatch.setattr(linalg, "orthogonal_basis", no_basis)
+        with pytest.raises(ArityError, match="entry cap"):
+            class_projection(NC, 5, 5)
+        with pytest.raises(ArityError, match="entry cap"):
+            projection_matrix(NC, identity(5), 5)
+        # the entry cap would trip too; the rows cap is checked first
+        with pytest.raises(ArityError, match="rows or columns"):
+            psi_check(NC, identity(7), 4)
 
 
 class TestBrauer:
