@@ -206,15 +206,19 @@ def fusion_brute_force(
     Enumerates every projective member at the joint arity, keeps those
     dominated by the tensor product, and discards any that are already
     dominated by a tensor with one factor strictly lowered inside the
-    category.  Used to cross-validate :func:`fusion`; exponentially more
-    expensive, so only viable at small arity.
+    category.  Domination (pq = q) is read off the blocks: p dominates q
+    when p's upper-row partition refines q's and every non-through block of
+    p is a block of q, so no test composes.  Used to cross-validate
+    :func:`fusion`; exponentially more expensive, so only viable at small
+    arity.
     """
     if not (contains(spec, p) and contains(spec, q)):
         raise ValueError("both diagrams must belong to the category")
     _check_projective_operands(p, q)
     a, b = p.upper, q.upper
     pq = tensor(p, q)
-    # every diagram below is a projective member, so domination runs unchecked
+    # every diagram below is a projective member of p's or q's color word,
+    # so domination runs unchecked
     lowered = [
         tensor(l, q)
         for l in projectives(spec, a)

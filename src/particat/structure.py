@@ -9,10 +9,13 @@ lower points are ordered by their smallest upper neighbour) and r is a
 of through-blocks of p equals the middle arity of the factorization.
 
 Projective diagrams (symmetric idempotents, equivalently q* q for some q) are
-partially ordered by domination: q is dominated by p when pq = q.  Tensor
-products of projectives are broken below by grafting *mixing diagrams* between
-the through-block structures; the noncrossing mixing diagrams fall into two
-one-parameter families realized here by :func:`square` and :func:`boxvert`.
+partially ordered by domination: q is dominated by p when pq = q.  The order
+reads straight off the blocks: p dominates q exactly when the partition of
+p's upper row refines that of q's and every non-through block of p is also a
+block of q.  Tensor products of projectives are broken below by grafting
+*mixing diagrams* between the through-block structures; the noncrossing
+mixing diagrams fall into two one-parameter families realized here by
+:func:`square` and :func:`boxvert`.
 
 Symmetry groups, the cross-arity equivalence of projectives, and the word
 invariants for the even-block and colored-pair settings also live here.
@@ -235,19 +238,49 @@ def _check_projective_pair(p: Partition, q: Partition) -> None:
         raise ArityError("domination compares equal arities")
     if not (is_projective(p) and is_projective(q)):
         raise ValueError("domination is defined for projective diagrams only")
+    if p.colored != q.colored:
+        raise ColorError("domination compares colored with uncolored")
+    if p.colors != q.colors:
+        raise ColorError("domination compares equal color words only")
 
 
 def dominates(p: Partition, q: Partition) -> bool:
-    """True when pq = q (equivalently qp = q): q sits below p."""
+    """True when pq = q (equivalently qp = q): q sits below p.
+
+    Decided on the blocks: the partition of p's upper row refines that of
+    q's, and every non-through block of p is also a block of q.
+    """
     _check_projective_pair(p, q)
     return _dominates(p, q)
 
 
 def _dominates(p: Partition, q: Partition) -> bool:
     """:func:`dominates` for callers that already know p and q are
-    projective of one arity (members of ``projectives()`` or checked once
-    at entry), so inner loops skip the re-check."""
-    return compose(p, q).partition == q
+    projective of one arity with equal color words (members of
+    ``projectives()`` filtered by color, or checked once at entry), so inner
+    loops skip the re-check.  Colors are not read.
+
+    One scan over p's blocks that meet the upper row, which canonical order
+    puts first: each must keep its upper points inside one block of q, and
+    one that does not go through must be a block of q.
+    """
+    k = p.upper
+    owner = q.block_of()
+    for b in p.blocks:
+        first = b[0]
+        if first >= k:
+            break
+        i = owner[first]
+        if b[-1] < k:
+            if q.blocks[i] != b:
+                return False
+            continue
+        for x in b:
+            if x >= k:
+                break
+            if owner[x] != i:
+                return False
+    return True
 
 
 def strictly_dominates(p: Partition, q: Partition) -> bool:

@@ -87,8 +87,9 @@ def suite_structure(max_points: int = 8) -> dict:
     """Exhaustive structural identities on all diagrams within the bound.
 
     Covers factorization validity and recomposition, evenness of the
-    non-through count on projectives, the partial order axioms of
-    domination, and injectivity plus domination of the mixing graft.
+    non-through count on projectives, domination as block refinement
+    against its definition pq = q, the partial order axioms of domination,
+    and injectivity plus domination of the mixing graft.
     """
     checks = 0
     failures: list[str] = []
@@ -114,8 +115,10 @@ def suite_structure(max_points: int = 8) -> dict:
             if st.beta != 2 * loops:
                 failures.append(f"loop count mismatch on {serialize(p)}")
 
-    # domination axioms over the full projective sets at half the bound;
-    # all diagrams are projective members, so domination runs unchecked
+    # domination over the full projective sets at half the bound: the
+    # block-refinement test against its definition pq = q on every ordered
+    # pair, then the order axioms; all diagrams are projective members, so
+    # domination runs unchecked
     spec_all = CategorySpec.named("p")
     for k in range(0, max_points // 2 + 1):
         projs = projectives(spec_all, k)
@@ -138,7 +141,14 @@ def suite_structure(max_points: int = 8) -> dict:
                 )
         for p in projs:
             for q in projs:
-                if p is q or not _dominates(p, q):
+                checks += 1
+                below = _dominates(p, q)
+                if below != (compose(p, q).partition == q):
+                    failures.append(
+                        "domination is not pq = q on "
+                        f"{serialize(p)}, {serialize(q)}"
+                    )
+                if p is q or not below:
                     continue
                 for r in projs:
                     if r is q or not _dominates(q, r):

@@ -4,7 +4,8 @@ Besides the category laws this checks the two facts the one-row closure
 rests on: k ``ul`` rotations take a diagram in P(k, l) to its word in
 P(0, k + l), and a full cyclic turn of a colored word is the identity.
 It also checks that the through-block factorization p = q* r s recomposes
-to p, in both color modes.
+to p, in both color modes, and that the block-refinement test of domination
+agrees with its definition pq = q beyond the arities tested exhaustively.
 """
 
 import pytest
@@ -19,9 +20,14 @@ from particat.partition import (
     serialize,
     tensor,
 )
-from particat.structure import through_block_decomposition
+from particat.structure import (
+    _dominates,
+    projective_from,
+    through_block_decomposition,
+)
 
 MAX_ROW = 3
+MAX_PROJECTIVE_ARITY = 7
 FLIP = {"w": "b", "b": "w"}
 
 
@@ -66,6 +72,23 @@ def chains(draw):
 
 
 any_partition = st.booleans().flatmap(partitions)
+
+
+@st.composite
+def projective_pairs(draw):
+    """The projectives x* x and y* y of two diagrams with one upper row of
+    at most MAX_PROJECTIVE_ARITY points, colored alike or uncolored.  y is
+    drawn freely or composed below x; the latter puts y* y below x* x, so
+    both answers of domination occur."""
+    colored = draw(st.booleans())
+    k = draw(st.integers(0, MAX_PROJECTIVE_ARITY))
+    word = draw(color_rows(k)) if colored else None
+    x = draw(partitions(colored, upper=k, upper_colors=word))
+    if draw(st.booleans()):
+        y = draw(partitions(colored, upper=k, upper_colors=word))
+    else:
+        y = compose(draw(below(x)), x).partition
+    return projective_from(x), projective_from(y)
 
 
 @settings(max_examples=80, deadline=None)
@@ -113,6 +136,13 @@ def test_rotations_undo_each_other(p):
 def test_through_block_decomposition_recomposes(colored, data):
     p = data.draw(partitions(colored))
     assert through_block_decomposition(p).recompose() == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(projective_pairs())
+def test_domination_is_pq_equals_q(pair):
+    for p, q in (pair, pair[::-1]):
+        assert _dominates(p, q) == (compose(p, q).partition == q)
 
 
 @settings(max_examples=80, deadline=None)

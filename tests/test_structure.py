@@ -6,7 +6,10 @@ from itertools import permutations
 import pytest
 
 from particat.partition import (
+    BLACK,
+    WHITE,
     ArityError,
+    ColorError,
     Partition,
     all_set_partitions,
     compose,
@@ -23,6 +26,8 @@ from particat.partition import (
     conjugate_colors,
 )
 from particat import structure
+from particat.fusion import fusion_brute_force
+from particat.matrix_model import class_projection
 from particat.structure import (
     MIXING_CAP,
     SYM_SEARCH_CAP,
@@ -59,6 +64,7 @@ FOURBLOCK = parse_partition("aa:aa")
 DOUBLEPAIR = parse_partition("aa:bb")
 NC = CategorySpec.named("nc")
 NC2 = CategorySpec.named("nc2")
+NCB = CategorySpec.named("ncb")
 NCEVEN = CategorySpec.named("nceven")
 UCOL = CategorySpec.named("ucol")
 P_ALL = CategorySpec.named("p")
@@ -135,6 +141,52 @@ def equivalent_with_precheck(spec, p, q):
         if contains(spec, witness):
             return True
     return False
+
+
+def dominates_by_composition(p, q):
+    """The definition of domination, pq = q, read off a composition: the
+    oracle for the library's block-refinement test."""
+    return compose(p, q).partition == q
+
+
+def _same_word_pairs(spec, max_k):
+    """Ordered pairs of the category's projectives of one arity, at most
+    ``max_k``, with equal color words."""
+    for k in range(max_k + 1):
+        pool = projectives(spec, k)
+        for p in pool:
+            for q in pool:
+                if p.colors == q.colors:
+                    yield p, q
+
+
+def _fusion_tensor_pairs():
+    """The pairs (tensor, m) that ``fusion_brute_force`` tests over the
+    pools of acceptance 5 (projectives of at most three points): every
+    tensor product and every lowered tensor is some tensor(x, y) of two pool
+    members, and m runs over the projectives at the joint arity.  Joint
+    arities 5 and 6 of nc (370k pairs) are left out; ncb, nceven and nc2
+    reach them."""
+    for name in ("nc", "nc2", "nceven", "ncb"):
+        spec = CategorySpec.named(name)
+        pool = [p for k in range(4) for p in projectives(spec, k)]
+        top = 4 if name == "nc" else 6
+        tensors = {
+            tensor(x, y) for x in pool for y in pool
+            if x.upper + y.upper <= top
+        }
+        for t in tensors:
+            for m in projectives(spec, t.upper):
+                yield t, m
+
+
+DOMINATION_CASES = {
+    "p": lambda: _same_word_pairs(P_ALL, 4),
+    "nc": lambda: _same_word_pairs(NC, 4),
+    "ncb": lambda: _same_word_pairs(NCB, 4),
+    "ucol": lambda: _same_word_pairs(UCOL, 3),
+    "fusion-tensors": _fusion_tensor_pairs,
+}
 
 
 # generator and point bound; the colored crossing's closure at 8 points
@@ -287,6 +339,48 @@ class TestDomination:
     def test_non_projective_rejected(self):
         with pytest.raises(ValueError):
             dominates(identity(2), Partition.make(2, 2, [(0, 3), (1, 2)]))
+
+    def test_colored_against_uncolored_rejected(self):
+        colored = identity(1, (WHITE,))
+        with pytest.raises(ColorError):
+            dominates(colored, identity(1))
+        with pytest.raises(ColorError):
+            dominates(identity(1), colored)
+
+    def test_unequal_color_words_rejected(self):
+        # both are colored projectives; only their color words differ
+        with pytest.raises(ColorError):
+            dominates(identity(1, (WHITE,)), identity(1, (BLACK,)))
+        with pytest.raises(ColorError):
+            dominates(identity(2, "wb"), identity(2, "bw"))
+
+    @pytest.mark.parametrize("case", sorted(DOMINATION_CASES))
+    def test_matches_composition_oracle(self, case):
+        pairs = list(DOMINATION_CASES[case]())
+        below = 0
+        for p, q in pairs:
+            got = structure._dominates(p, q)
+            assert got == dominates_by_composition(p, q), (str(p), str(q))
+            below += got
+        # both answers occur, so neither side is vacuous
+        assert 0 < below < len(pairs)
+
+    def test_domination_composes_nothing(self, monkeypatch):
+        calls = []
+        original = structure.compose
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(structure, "compose", counted)
+        pool = projectives(NCB, 1) + projectives(NCB, 2)
+        for p in pool:
+            for q in pool:
+                fusion_brute_force(NCB, p, q)
+        with pytest.raises(ArityError):
+            class_projection(NC, 5, 5)
+        assert calls == []
 
 
 class TestPSigma:
