@@ -42,12 +42,12 @@ from .partition import (
 from .structure import (
     _dominates,
     _equivalence_classes,
+    _graft,
+    _nested_mixings,
     _through_blocks,
     boxvert,
     enumerate_mixing,
     equivalent,
-    mix,
-    square,
     word_h,
     word_u,
 )
@@ -155,33 +155,20 @@ def fusion_candidates(p: Partition, q: Partition) -> list[Partition]:
     """
     _check_projective_operands(p, q)
     return _dedupe_sorted(
-        mix(p, q, h) for h in enumerate_mixing(stats(p).t, stats(q).t)
-    )
-
-
-def _nested_candidates(p: Partition, q: Partition) -> list[Partition]:
-    """The 2 min(t(p), t(q)) + 1 grafts of the nested mixing diagrams.
-
-    Through-blocks of a noncrossing projective never interleave, so every
-    other mixing diagram grafts to a crossing diagram; in a noncrossing
-    category these are therefore all the candidates that can belong.
-    """
-    _check_projective_operands(p, q)
-    depth = min(stats(p).t, stats(q).t)
-    return _dedupe_sorted(
-        [square(p, q, a) for a in range(depth + 1)]
-        + [boxvert(p, q, a) for a in range(1, depth + 1)]
+        _graft(p, q, enumerate_mixing(stats(p).t, stats(q).t))
     )
 
 
 def fusion(spec: CategorySpec, p: Partition, q: Partition) -> FusionResult:
     """The fusion set inside the category: grafted candidates that belong.
 
-    In a noncrossing category (:func:`~particat.categories.is_noncrossing_spec`)
-    only the nested mixings, :func:`~particat.structure.square` and
-    :func:`~particat.structure.boxvert`, are grafted; any other graft
-    crosses and so cannot belong.  Crossing categories graft every mixing
-    diagram of :func:`fusion_candidates`, which raises
+    One graft routine serves both cases and builds the upper building
+    diagrams of p and q once.  In a noncrossing category
+    (:func:`~particat.categories.is_noncrossing_spec`) it grafts only the
+    2 min(t(p), t(q)) + 1 nested mixings of :func:`~particat.structure.square`
+    and :func:`~particat.structure.boxvert`; any other graft crosses.
+    Crossing categories graft every mixing diagram, as
+    :func:`fusion_candidates` does, and raise
     :class:`~particat.categories.BoundsExceededError` past
     :data:`~particat.structure.MIXING_CAP` mixings.
 
@@ -190,10 +177,9 @@ def fusion(spec: CategorySpec, p: Partition, q: Partition) -> FusionResult:
     """
     if not (contains(spec, p) and contains(spec, q)):
         raise ValueError("both diagrams must belong to the category")
-    if is_noncrossing_spec(spec):
-        candidates = _nested_candidates(p, q)
-    else:
-        candidates = fusion_candidates(p, q)
+    _check_projective_operands(p, q)
+    mixings = _nested_mixings if is_noncrossing_spec(spec) else enumerate_mixing
+    candidates = _dedupe_sorted(_graft(p, q, mixings(stats(p).t, stats(q).t)))
     members = [(m, stats(m).t) for m in candidates if contains(spec, m)]
     return FusionResult(tuple(members))
 

@@ -99,10 +99,11 @@ def _row_pattern(p: Partition, upper: bool) -> tuple[int, ...]:
 def _row_signature(pattern: tuple[int, ...], N: int) -> np.ndarray:
     """The code of every assignment to a row of this pattern, -1 where the
     assignment violates a block.  Every map and rank starts here on a cache
-    miss, so this is where a bad N is refused."""
+    miss, so this is where a bad N and a row past the rows cap are refused."""
     if N < 1:
         raise ValueError("N must be at least 1")
     n = len(pattern)
+    _check_rows(n, N)
     digits = np.indices((N,) * n, dtype=np.int64).reshape(n, N**n)
     valid = np.ones(N**n, dtype=bool)
     code = np.zeros(N**n, dtype=np.int64)
@@ -154,7 +155,6 @@ def t_map(p: Partition, N: int) -> np.ndarray:
     factor N^loops of a composition is at most N^mid, since every removed
     loop uses up a middle point.
     """
-    _check_rows(max(p.upper, p.lower), N)
     code_i, code_j = _signature(p, True, N), _signature(p, False, N)
     return ((code_j[:, None] == code_i) & (code_i >= 0)).astype(np.int64)
 
@@ -343,15 +343,16 @@ def projection_rank(spec: CategorySpec, p: Partition, N: int) -> int:
     echelon over the distinct indicator columns.
     """
     _check_member_projective(spec, p)
+    rank = t_map_rank(p, N)  # refuses a bad N or N^k past the rows cap
     ech = linalg.SparseEchelon()
     for col in _columns(_dominated_members(spec, p), N):
         ech.insert(col)
-    return t_map_rank(p, N) - ech.rank
+    return rank - ech.rank
 
 
 def class_projection(spec: CategorySpec, k: int, N: int) -> list[dict]:
-    """Per equivalence class: the projection onto the joint image of the
-    member projections, with its rank and the resulting multiplicity.
+    """Per equivalence class: the rank of the projection onto the joint
+    image of the member projections, and the resulting multiplicity.
 
     Returns one record per class with the canonical representative (minimal
     serialization), the class size, rank of the class projection, rank of
@@ -374,7 +375,6 @@ def class_projection(spec: CategorySpec, k: int, N: int) -> list[dict]:
                 "representative": rep,
                 "members": cls_sorted,
                 "t": stats(rep).t,
-                "projection": linalg.basis_projection(basis, N**k),
                 "rank_class": rank_class,
                 "rank_rep": rank_rep,
                 "multiplicity": mult,

@@ -13,9 +13,10 @@ partially ordered by domination: q is dominated by p when pq = q.  The order
 reads straight off the blocks: p dominates q exactly when the partition of
 p's upper row refines that of q's and every non-through block of p is also a
 block of q.  Tensor products of projectives are broken below by grafting
-*mixing diagrams* between the through-block structures; the noncrossing
-mixing diagrams fall into two one-parameter families realized here by
-:func:`square` and :func:`boxvert`.
+*mixing diagrams* between the through-block structures: one routine stacks
+each mixing on the tensor of the two upper building diagrams, built once
+per pair, and :func:`mix` is its checked form for one mixing.  The
+noncrossing mixings are the nested ones of :func:`square` and :func:`boxvert`.
 
 Symmetry groups, the cross-arity equivalence of projectives, and the word
 invariants for the even-block and colored-pair settings also live here.
@@ -474,11 +475,45 @@ def _mixing_count(k: int, l: int) -> int:
     )
 
 
+def _nested_mixings(k: int, l: int) -> list[MixingPartition]:
+    """The 2 min(k, l) + 1 noncrossing (k, l)-mixing diagrams: a nested
+    pairs join the rightmost a left columns to the leftmost a right ones,
+    all open at index 2a and, for a >= 1, with the outermost pair closed at
+    index 2a - 1 (closing an inner pair would cross)."""
+    out = []
+    for a in range(min(k, l) + 1):
+        pairs = [(k - a + i, k + a - 1 - i) for i in range(a)]
+        if a:
+            out.append(_mixing_from_pairs(k, l, pairs, [True] + [False] * (a - 1)))
+        out.append(_mixing_from_pairs(k, l, pairs, [False] * a))
+    return out
+
+
+def _graft(
+    p: Partition, q: Partition, mixings: Iterable[MixingPartition]
+) -> list[Partition]:
+    """Stack each mixing diagram between the upper building diagrams of p
+    and q: the tensor of the two, its turn-over and, for colored p, the
+    white lift of a mixing's points are built once per pair.  The caller
+    has checked that every mixing has arities (t(p), t(q))."""
+    mid = tensor(upper_building(p), upper_building(q))
+    top = involution(mid)
+    white = (WHITE,) * (2 * mid.lower)
+    out = []
+    for h in mixings:
+        hp = h.partition
+        if p.colored and not hp.colored:
+            hp = Partition.make(hp.upper, hp.lower, hp.blocks, white)
+        out.append(compose_chain(top, hp, mid))
+    return out
+
+
 def mix(p: Partition, q: Partition, h: MixingPartition) -> Partition:
     """Graft h between the through-block structures of p and q.
 
     The result is projective, dominated by p tensor q, and distinct triples
-    (p, q, h) give distinct results.
+    (p, q, h) give distinct results.  Raises ``ArityError`` unless h is a
+    (t(p), t(q))-mixing diagram.
     """
     tp, tq = stats(p).t, stats(q).t
     if (h.left_arity, h.right_arity) != (tp, tq):
@@ -486,32 +521,7 @@ def mix(p: Partition, q: Partition, h: MixingPartition) -> Partition:
             f"mixing diagram is ({h.left_arity}, {h.right_arity}) "
             f"but through-block counts are ({tp}, {tq})"
         )
-    pu = upper_building(p)
-    qu = upper_building(q)
-    mid = tensor(pu, qu)
-    hp = h.partition
-    if p.colored and not hp.colored:
-        hp = Partition.make(
-            hp.upper, hp.lower, hp.blocks, (WHITE,) * hp.n_points
-        )
-    return compose_chain(involution(mid), hp, mid)
-
-
-def _padded_mixing(
-    alpha: int, beta: int, a: int, close_outermost: bool
-) -> MixingPartition:
-    """The nested-pairs mixing diagram of depth a, padded with verticals.
-
-    The a pairs connect the rightmost a left columns to the leftmost a right
-    columns in nested fashion; with ``close_outermost`` the outermost pair
-    becomes a quadruple (closing any inner pair would force a crossing, so
-    this is the only noncrossing choice).
-    """
-    pairs = [(alpha - a + i, alpha + (a - 1) - i) for i in range(a)]
-    closed = [False] * a
-    if close_outermost:
-        closed[0] = True
-    return _mixing_from_pairs(alpha, beta, pairs, closed)
+    return _graft(p, q, [h])[0]
 
 
 def square(p: Partition, q: Partition, a: int) -> Partition:
@@ -522,7 +532,7 @@ def square(p: Partition, q: Partition, a: int) -> Partition:
     tp, tq = stats(p).t, stats(q).t
     if not 0 <= a <= min(tp, tq):
         raise ArityError(f"depth {a} out of range for t = ({tp}, {tq})")
-    return mix(p, q, _padded_mixing(tp, tq, a, False))
+    return _graft(p, q, [_nested_mixings(tp, tq)[2 * a]])[0]
 
 
 def boxvert(p: Partition, q: Partition, a: int) -> Partition:
@@ -533,7 +543,7 @@ def boxvert(p: Partition, q: Partition, a: int) -> Partition:
     tp, tq = stats(p).t, stats(q).t
     if not 1 <= a <= min(tp, tq):
         raise ArityError(f"depth {a} out of range for t = ({tp}, {tq})")
-    return mix(p, q, _padded_mixing(tp, tq, a, True))
+    return _graft(p, q, [_nested_mixings(tp, tq)[2 * a - 1]])[0]
 
 
 # ---------------------------------------------------------------------------

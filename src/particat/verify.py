@@ -25,11 +25,11 @@ from .partition import (
 )
 from .structure import (
     _dominates,
+    _graft,
     dominates,
     enumerate_mixing,
     is_building,
     is_through,
-    mix,
     through_block_decomposition,
 )
 from .categories import CategorySpec, projectives
@@ -171,8 +171,8 @@ def suite_structure(max_points: int = 8) -> dict:
                 for q in projectives(spec_all, b):
                     tq = stats(q).t
                     pq = tensor(p, q)
-                    for h in enumerate_mixing(tp, tq):
-                        m = mix(p, q, h)
+                    mixings = enumerate_mixing(tp, tq)
+                    for h, m in zip(mixings, _graft(p, q, mixings)):
                         key = (p, q, h.partition)
                         checks += 2
                         if m in seen and seen[m] != key:

@@ -110,7 +110,7 @@ class TestFusionSets:
                 assert len(got) == len(set(got))
 
     def test_oracle_agreement_small(self):
-        for name in ("nc", "nc2", "nceven", "ncb"):
+        for name in ("nc", "nc2", "nceven", "ncb", "p", "p2"):
             spec = CategorySpec.named(name)
             pool = []
             for k in range(0, 3):
@@ -180,18 +180,32 @@ class TestNestedPath:
     @pytest.mark.parametrize("t", [5, 8])
     def test_identity_ladder_mix_budget(self, monkeypatch, t):
         # op budget: one graft per nested mixing, 2t + 1 in all
-        calls = []
-        real = structure.mix
+        grafted = []
+        real = fusion_module._graft
 
-        def counting(p, q, h):
-            calls.append(h)
-            return real(p, q, h)
+        def counting(p, q, mixings):
+            grafted.extend(mixings)
+            return real(p, q, mixings)
 
-        monkeypatch.setattr(structure, "mix", counting)
-        monkeypatch.setattr(fusion_module, "mix", counting)
+        monkeypatch.setattr(fusion_module, "_graft", counting)
         res = fusion(NC, identity(t), identity(t))
         assert res.t_values == list(range(2 * t + 1))
-        assert len(calls) <= 2 * t + 1
+        assert len(grafted) <= 2 * t + 1
+
+    def test_crossing_decomposition_budget(self, monkeypatch):
+        # op budget: the building diagrams of both factors are built once
+        # for all 19,091 mixings, not once per graft
+        calls = []
+        real = structure.through_block_decomposition
+
+        def counting(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(structure, "through_block_decomposition", counting)
+        res = fusion(P2, identity(5), identity(5))
+        assert res.members
+        assert len(calls) <= 2
 
 
 class TestLabelledFusion:

@@ -128,6 +128,16 @@ def class_oracle(spec, members, N):
     return proj, trace_rank(proj), trace_rank(mats[0])
 
 
+def class_projection_matrix(spec, rec, N):
+    """The dense class projection of one ``class_projection`` record, built
+    from the integer image bases of the class members."""
+    bases = [
+        mm._image_basis(q, mm._check_caps(spec, q, N), N) for q in rec["members"]
+    ]
+    basis = linalg.orthogonal_basis(u for b in bases for u, _ in b)
+    return linalg.basis_projection(basis, N ** rec["representative"].upper)
+
+
 def psi_oracle(spec, p, N):
     """The group-algebra comparison on dense Fraction matrices."""
     group = sym_group(spec, p)
@@ -444,10 +454,10 @@ class TestClassProjection:
 
     def test_class_projections_orthogonal(self):
         recs = class_projection(NC, 2, 4)
-        for i, a in enumerate(recs):
-            for b in recs[i + 1 :]:
-                prod = a["projection"] @ b["projection"]
-                assert not prod.any()
+        projs = [class_projection_matrix(NC, r, 4) for r in recs]
+        for i, a in enumerate(projs):
+            for b in projs[i + 1 :]:
+                assert not (a @ b).any()
 
 
 class TestPsi:
@@ -487,7 +497,7 @@ class TestDenseOracle:
             assert all(type(x) is Fraction for x in got.ravel())
         for rec in class_projection(spec, k, N):
             proj, rank_class, rank_rep = class_oracle(spec, rec["members"], N)
-            assert rec["projection"].tolist() == proj.tolist()
+            assert class_projection_matrix(spec, rec, N).tolist() == proj.tolist()
             assert (rec["rank_class"], rec["rank_rep"]) == (rank_class, rank_rep)
 
     def test_vanished_projection(self):
@@ -531,6 +541,19 @@ class TestRefusals:
     def test_bad_N(self, call, N):
         with pytest.raises(ValueError, match="N must be at least 1"):
             call(N)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: t_map_rank(identity(7), 4),
+            lambda: projection_rank(NC, identity(6), 5),
+        ],
+        ids=["t_map_rank", "projection_rank"],
+    )
+    def test_rows_cap(self, call):
+        # refused like t_map and projection_matrix, before any work
+        with pytest.raises(ArityError, match="rows or columns"):
+            call()
 
     def test_caps_before_any_basis(self, monkeypatch):
         # a budget of zero Gram-Schmidt runs: the first one fails at once

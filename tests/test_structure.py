@@ -540,6 +540,21 @@ def _equivalent_full_search(spec, p, q):
     return False
 
 
+def mix_per_mixing(p, q, h):
+    """The graft of one mixing diagram, with the upper building diagrams,
+    their tensor, its turn-over and the white lift all built afresh: the
+    oracle of the graft routine."""
+    pu = upper_building(p)
+    qu = upper_building(q)
+    mid = tensor(pu, qu)
+    hp = h.partition
+    if p.colored and not hp.colored:
+        hp = Partition.make(
+            hp.upper, hp.lower, hp.blocks, (WHITE,) * hp.n_points
+        )
+    return compose_chain(involution(mid), hp, mid)
+
+
 class TestMixing:
     def test_counts_small(self):
         assert len(enumerate_mixing(0, 0)) == 1
@@ -571,14 +586,9 @@ class TestMixing:
                     for h in enumerate_mixing(k, l)
                     if is_noncrossing(h.partition)
                 }
-                want = set()
-                from particat.structure import _padded_mixing
-
-                for a in range(0, min(k, l) + 1):
-                    want.add(_padded_mixing(k, l, a, False).partition)
-                    if a >= 1:
-                        want.add(_padded_mixing(k, l, a, True).partition)
-                assert got == want
+                nested = [h.partition for h in structure._nested_mixings(k, l)]
+                assert len(set(nested)) == len(nested) == 2 * min(k, l) + 1
+                assert set(nested) == got
 
     def test_identity_mixing_gives_tensor(self):
         rng = rand_rng()
@@ -603,6 +613,17 @@ class TestMixing:
                             assert dominates(pq, m)
                             key = (p, q, h.partition)
                             assert seen.setdefault(m, key) == key
+
+    @pytest.mark.parametrize("spec", [P_ALL, UCOL], ids=["p", "ucol"])
+    def test_graft_matches_per_mixing_oracle(self, spec):
+        # the ucol pool takes the colored lift of the mixing diagrams
+        pool = [p for k in range(0, 3) for p in projectives(spec, k)]
+        for p in pool:
+            for q in pool:
+                mixings = enumerate_mixing(stats(p).t, stats(q).t)
+                want = [mix_per_mixing(p, q, h) for h in mixings]
+                assert structure._graft(p, q, mixings) == want
+                assert [mix(p, q, h) for h in mixings] == want
 
     def test_arity_mismatch(self):
         h = enumerate_mixing(1, 1)[0]
