@@ -16,6 +16,7 @@ generated category.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -259,6 +260,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="particat",
@@ -329,9 +331,8 @@ def _pretty_render(doc: dict) -> str:
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code else EXIT_OK
     try:

@@ -1,9 +1,10 @@
 """
 Exact linear algebra over the rationals.
 
-One elimination kernel, :class:`SparseEchelon`, reduces sparse vectors with
-:class:`fractions.Fraction` entries against an incremental echelon basis;
-:func:`rank` feeds it the rows of a matrix.  Projections need none:
+One fraction-free elimination kernel, :class:`SparseEchelon`, reduces sparse
+integer vectors against an incremental echelon basis of integer rows;
+:func:`rank` scales the rows of a matrix to integers and feeds them to it.
+Projections need no elimination:
 :func:`orthogonal_basis` is Gram-Schmidt in integer arithmetic.  Dense
 matrices are numpy arrays with ``dtype=object`` holding Python ints or
 Fractions, so no floating point ever enters.
@@ -29,10 +30,11 @@ Basis = list[tuple[np.ndarray, int]]  # integer vectors u with <u, u>
 
 
 def rank(a: np.ndarray) -> int:
-    """Exact rank: the nonzero entries of each row, fed to one echelon."""
+    """Exact rank: each row, scaled to integers, fed to one echelon."""
     ech = SparseEchelon()
     for row in a.tolist():
-        ech.insert({j: Fraction(x) for j, x in enumerate(row) if x})
+        scale = lcm(*(x.denominator for x in row))
+        ech.insert({j: int(x * scale) for j, x in enumerate(row) if x})
     return ech.rank
 
 
@@ -75,35 +77,44 @@ def projection_onto_columns(a: np.ndarray) -> np.ndarray:
 
 
 class SparseEchelon:
-    """Incremental echelon basis for sparse rational vectors.
+    """Incremental fraction-free echelon basis for sparse integer vectors.
 
-    Vectors are dicts mapping index to a nonzero Fraction.  ``insert``
-    reduces the vector against the basis and returns True when it enlarged
-    the span.  Suited to the 0/1 indicator columns of the diagram matrix
-    calculus, where supports are small and fill-in stays moderate.
+    Vectors are dicts mapping index to a nonzero int; a basis row is divided
+    by its gcd and has a positive lead.  ``insert`` reduces the vector
+    against the basis, subtracting an integer multiple of each pivot row
+    (after cross-multiplying, then dividing out the gcd, where the leads do
+    not divide), and returns True when it enlarged the span.  Suited to the
+    0/1 indicator columns of the diagram matrix calculus, where supports
+    are small and fill-in stays moderate.
     """
 
     def __init__(self) -> None:
-        self.basis: dict[int, dict[int, Fraction]] = {}
+        self.basis: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
-    def insert(self, vec: dict[int, Fraction]) -> bool:
+    def insert(self, vec: dict[int, int]) -> bool:
         v = dict(vec)
         while v:
             lead = min(v)
             row = self.basis.get(lead)
-            if row is None:
-                lv = v[lead]
-                self.basis[lead] = {k: val / lv for k, val in v.items()}
-                return True
             f = v[lead]
+            if row is None:
+                g = gcd(*v.values()) if f > 0 else -gcd(*v.values())
+                self.basis[lead] = {k: val // g for k, val in v.items()}
+                return True
+            scale = row[lead] // gcd(f, row[lead])
+            if scale > 1:
+                v = {k: val * scale for k, val in v.items()}
+            f = f * scale // row[lead]
             for k, val in row.items():
-                newval = v.get(k, Fraction(0)) - f * val
+                newval = v.get(k, 0) - f * val
                 if newval:
                     v[k] = newval
                 else:
                     v.pop(k, None)
+            if scale > 1 and (g := gcd(*v.values())) > 1:
+                v = {k: val // g for k, val in v.items()}
         return False

@@ -173,13 +173,13 @@ def t_map_rank(p: Partition, N: int) -> int:
     return _realized_codes(p, N).bit_count()
 
 
-def _columns(members: list[Partition], N: int) -> list[dict[int, Fraction]]:
+def _columns(members: list[Partition], N: int) -> list[dict[int, int]]:
     """The distinct nonzero columns of the members' maps, sparse 0/1."""
-    cols, one = [], Fraction(1)
+    cols = []
     for q in members:
         code_j, realized = _signature(q, False, N), _realized_codes(q, N)
         cols += [
-            dict.fromkeys(np.flatnonzero(code_j == tau).tolist(), one)
+            dict.fromkeys(np.flatnonzero(code_j == tau).tolist(), 1)
             for tau in range(realized.bit_length())
             if realized >> tau & 1
         ]
@@ -248,10 +248,9 @@ def _map_family_rank(spec: CategorySpec, k: int, N: int) -> tuple[int, int]:
         raise ColorError("diagram-map ranks need an uncolored category")
     members = enumerate_in(spec, k, k)
     ech = linalg.SparseEchelon()
-    one = Fraction(1)
     for q in members:
         flat = t_map(q, N).ravel()
-        ech.insert({int(i): one for i in np.flatnonzero(flat)})
+        ech.insert(dict.fromkeys(np.flatnonzero(flat).tolist(), 1))
     return len(members), ech.rank
 
 

@@ -3,7 +3,9 @@ Verification suites: exhaustive structural identities at desk scale.
 
 Each suite returns a report dict with at least ``passed`` (bool), ``checks``
 (number of individual assertions evaluated) and ``failures`` (list of short
-strings, empty when green).  The command line exposes them behind
+strings, empty when green).  The functor suite checks each distinct sampled
+pair once, but counts its assertions, and lists its failure, per sample: a
+pair drawn twice counts twice.  The command line exposes them behind
 ``verify --suite <name>``; the acceptance tests drive the same functions at
 their pinned sizes.
 """
@@ -32,7 +34,7 @@ from .structure import (
     is_through,
     through_block_decomposition,
 )
-from .categories import CategorySpec, projectives
+from .categories import BoundsExceededError, CategorySpec, projectives
 from .matrix_model import check_functor
 from .fusion import fusion, fusion_brute_force
 
@@ -43,6 +45,8 @@ __all__ = [
     "run_suite",
     "SUITES",
 ]
+
+STRUCTURE_MAX_POINTS = 9  # 28 s at 9 points; the diagrams grow as Bell numbers
 
 
 def _partitions_up_to(max_points: int):
@@ -61,13 +65,16 @@ def suite_functor(
     half = max(1, max_points // 2)
     checks = 0
     failures: list[str] = []
+    reports: dict[tuple[Partition, Partition], dict] = {}
     for _ in range(samples):
         k = rng.randrange(half + 1)
         l = rng.randrange(half + 1)
         m = rng.randrange(half + 1)
         top = random_partition(rng, k, l)
         bottom = random_partition(rng, l, m)
-        report = check_functor(bottom, top, N)
+        report = reports.get((bottom, top))
+        if report is None:
+            report = reports[bottom, top] = check_functor(bottom, top, N)
         checks += sum(1 for key in report if key.endswith("_rule"))
         if not report["passed"]:
             failures.append(
@@ -89,8 +96,13 @@ def suite_structure(max_points: int = 8) -> dict:
     Covers factorization validity and recomposition, evenness of the
     non-through count on projectives, domination as block refinement
     against its definition pq = q, the partial order axioms of domination,
-    and injectivity plus domination of the mixing graft.
+    and injectivity plus domination of the mixing graft.  Refuses more than
+    ``STRUCTURE_MAX_POINTS`` points with ``BoundsExceededError``.
     """
+    if max_points > STRUCTURE_MAX_POINTS:
+        raise BoundsExceededError(
+            f"the structure suite stops at {STRUCTURE_MAX_POINTS} points"
+        )
     checks = 0
     failures: list[str] = []
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from particat import cli
 from particat.cli import (
     EXIT_BOUNDS,
     EXIT_OK,
@@ -190,6 +191,10 @@ class TestVerify:
         assert doc["result"]["passed"] is True
         assert doc["stats"]["checks"] > 0
 
+    def test_structure_cap_exit(self, capsys):
+        argv = ["verify", "--suite", "structure", "--max-points", "12"]
+        assert run_error(capsys, argv) == EXIT_BOUNDS
+
 
 class TestBrauer:
     def test_kernel_mode(self, capsys):
@@ -326,3 +331,31 @@ def test_readme_examples(capsys):
         out = capsys.readouterr().out.strip()
         assert code == EXIT_OK, block[0]
         assert out == expected, block[0]
+
+
+def test_parser_built_once(capsys):
+    """One process answers a parse error, --help, the README examples and an
+    unknown category from one parser, each with its code and bytes."""
+
+    def fresh(argv):
+        with pytest.raises(SystemExit) as exc:
+            cli._build_parser.__wrapped__().parse_args(argv)
+        return exc.value.code, capsys.readouterr()
+
+    cli._build_parser.cache_clear()
+    for argv, code in ((["verify", "--suite", "nope"], EXIT_PARSE), (["--help"], EXIT_OK)):
+        want = fresh(argv)
+        assert run(argv) == code == want[0]
+        assert capsys.readouterr() == want[1]
+    blocks = _readme_command_blocks()
+    for block in blocks:
+        assert run(shlex.split(block[0])[1:]) == EXIT_OK, block[0]
+        assert capsys.readouterr().out.strip() == "\n".join(block[1:]).strip()
+    assert run(["member", "--category", "nope", "--partition", "a:a"]) == EXIT_PARSE
+    assert capsys.readouterr() == (
+        "",
+        '{"schema": "particat/1", "error": "unknown category \'nope\'; expected '
+        'one of p, p2, nc, nc2, ncb, nceven, ucol or gen:<file>"}\n',
+    )
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(blocks) + 2)
