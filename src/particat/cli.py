@@ -2,11 +2,13 @@
 Command line surface.
 
 Every command reads its inputs, runs one computation, and writes a single
-JSON document to standard output (schema id ``particat/1``); ``--pretty``
-switches to a human-readable rendering.  Output is byte-identical across
-runs for identical inputs: the ``elapsed_ms`` field stays 0 unless
-``--timing`` is passed.  Environment variables are never consulted; an
-optional JSON config file can raise or lower the size caps.
+JSON document to standard output (schema id ``particat/1``) whose ``inputs``
+echo the subcommand's options as given; ``--pretty`` switches to a
+human-readable rendering.  Labels go as text to :mod:`particat.fusion`,
+which parses and checks them.  Output is byte-identical across runs for
+identical inputs: the ``elapsed_ms`` field stays 0 unless ``--timing`` is
+passed.  Environment variables are never consulted; an optional JSON config
+file can raise or lower the size caps.
 
 Exit codes: 0 success, 2 parse or usage error (an unreadable input file
 included), 3 bounds exceeded, 4 undecidable membership in a bounded
@@ -20,19 +22,12 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
 
-from .partition import (
-    ArityError,
-    ColorError,
-    GrammarError,
-    Partition,
-    parse_partition,
-    serialize,
-)
+from .partition import GrammarError, parse_partition, serialize
 from .structure import sym_group
 from .categories import (
     BoundsExceededError,
+    CategorySpec,
     DEFAULT_MAX_POINTS,
     UndecidableMembershipError,
     category_from_name,
@@ -51,7 +46,7 @@ from .fusion import (
     label_for,
     label_to_partition,
     labelled_fusion,
-    runs_decode,
+    labels_up_to,
 )
 from .verify import SUITES, run_suite
 
@@ -64,92 +59,55 @@ EXIT_PARSE = 2
 EXIT_BOUNDS = 3
 EXIT_UNDECIDABLE = 4
 
-
-@dataclass
-class Config:
-    max_points: int = DEFAULT_MAX_POINTS
-
-    @staticmethod
-    def load(path: str | None) -> "Config":
-        cfg = Config()
-        if path:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            if not isinstance(data, dict):
-                raise ValueError("the config file must hold a JSON object")
-            if "max_points" in data:
-                value = data["max_points"]
-                if type(value) is not int:
-                    raise ValueError("max_points must be a JSON integer")
-                cfg.max_points = value
-        return cfg
+# every other refusal (ValueError, which covers the grammar, color and arity
+# errors, or OSError) exits EXIT_PARSE
+_REFUSAL_EXITS = {
+    BoundsExceededError: EXIT_BOUNDS,
+    UndecidableMembershipError: EXIT_UNDECIDABLE,
+}
 
 
-def _parse_label_or_partition(text: str, scheme: str | None):
-    """A CLI operand: a diagram in the grammar, or a label where the
-    category has a labelling scheme."""
-    if ":" in text:
-        return parse_partition(text)
-    if scheme in ("S", "O", "B"):
-        try:
-            return int(text)
-        except ValueError as exc:
-            raise GrammarError(f"expected a number label, got {text!r}") from exc
-    if scheme == "H":
-        if set(text) <= {"0", "1"}:
-            return text
-        raise GrammarError(f"expected a 0/1 word label, got {text!r}")
-    if scheme == "U":
-        try:
-            return runs_decode(text)
-        except ValueError as exc:
-            raise GrammarError(str(exc)) from exc
-    raise GrammarError(
-        f"{text!r} is not a diagram and the category has no label scheme"
-    )
+def _max_points(path: str | None) -> int:
+    """The closure bound: ``max_points`` of the JSON config file, if any."""
+    if not path:
+        return DEFAULT_MAX_POINTS
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("the config file must hold a JSON object")
+    value = data.get("max_points", DEFAULT_MAX_POINTS)
+    if type(value) is not int:
+        raise ValueError("max_points must be a JSON integer")
+    return value
 
 
-def _cmd_fuse(args, cfg: Config) -> tuple[dict, dict]:
-    spec = category_from_name(args.category, cfg.max_points)
+def _cmd_fuse(args, spec: CategorySpec | None) -> dict:
     scheme = LABELLED_IDS.get(spec.builtin or "")
-    left = _parse_label_or_partition(args.left, scheme)
-    right = _parse_label_or_partition(args.right, scheme)
-    inputs = {
-        "category": args.category,
-        "left": args.left,
-        "right": args.right,
-    }
-    if scheme and not isinstance(left, Partition) and not isinstance(right, Partition):
-        labels = labelled_fusion(scheme, left, right)
-        return inputs, {"result": labels, "checks": len(labels)}
-    pl = left if isinstance(left, Partition) else label_to_partition(scheme, left)
-    pr = right if isinstance(right, Partition) else label_to_partition(scheme, right)
-    res = fusion(spec, pl, pr)
-    if scheme:
-        rendered = [label_for(spec, m).render() for m in res.partitions]
-    else:
-        rendered = [serialize(m) for m in res.partitions]
-    return inputs, {"result": rendered, "checks": len(rendered)}
+    operands = (args.left, args.right)
+    if not any(":" in text for text in operands):
+        labels = labelled_fusion(scheme, *operands)
+        return {"result": labels, "checks": len(labels)}
+    pl, pr = (
+        parse_partition(text) if ":" in text else label_to_partition(scheme, text)
+        for text in operands
+    )
+    # members of a category without a label scheme render as diagrams
+    rendered = [label_for(spec, m).render() for m in fusion(spec, pl, pr).partitions]
+    return {"result": rendered, "checks": len(rendered)}
 
 
-def _cmd_member(args, cfg: Config) -> tuple[dict, dict]:
-    spec = category_from_name(args.category, cfg.max_points)
-    p = parse_partition(args.partition)
-    verdict = membership(spec, p)
-    inputs = {"category": args.category, "partition": args.partition}
+def _cmd_member(args, spec: CategorySpec | None) -> dict:
+    verdict = membership(spec, parse_partition(args.partition))
     if verdict is None:
         raise UndecidableMembershipError(
             f"{args.partition} is beyond the bound of the generated category"
         )
-    return inputs, {"result": verdict, "checks": 1}
+    return {"result": verdict, "checks": 1}
 
 
-def _cmd_sym(args, cfg: Config) -> tuple[dict, dict]:
-    spec = category_from_name(args.category, cfg.max_points)
-    p = parse_partition(args.partition)
-    group = sym_group(spec, p)
-    inputs = {"category": args.category, "partition": args.partition}
-    return inputs, {
+def _cmd_sym(args, spec: CategorySpec | None) -> dict:
+    group = sym_group(spec, parse_partition(args.partition))
+    return {
         "result": {
             "order": len(group),
             "permutations": [list(sigma) for sigma in group],
@@ -158,16 +116,13 @@ def _cmd_sym(args, cfg: Config) -> tuple[dict, dict]:
     }
 
 
-def _cmd_decompose(args, cfg: Config) -> tuple[dict, dict]:
-    spec = category_from_name(args.category, cfg.max_points)
+def _cmd_decompose(args, spec: CategorySpec | None) -> dict:
     records = decompose_power(spec, args.power)
-    inputs = {"category": args.category, "power": args.power}
-    rows = []
     ranks = {}
     if args.N is not None:
-        inputs["N"] = args.N
         for rec in class_projection(spec, args.power, args.N):
             ranks[rec["representative"]] = rec
+    rows = []
     for rec in records:
         row = {
             "representative": serialize(rec["representative"]),
@@ -181,72 +136,49 @@ def _cmd_decompose(args, cfg: Config) -> tuple[dict, dict]:
             row["rank_rep"] = mrec["rank_rep"]
             row["multiplicity"] = mrec["multiplicity"]
         rows.append(row)
-    return inputs, {"result": rows, "checks": len(rows)}
+    return {"result": rows, "checks": len(rows)}
 
 
-def _cmd_brauer(args, cfg: Config) -> tuple[dict, dict]:
-    spec = category_from_name(args.category, cfg.max_points)
-    if args.left or args.right:
-        if not (args.left and args.right):
+def _cmd_brauer(args, spec: CategorySpec | None) -> dict:
+    if args.left is not None or args.right is not None:
+        if args.left is None or args.right is None:
             raise GrammarError("product mode needs both --left and --right")
+        if args.k is not None:
+            raise GrammarError("product mode takes no --k")
         x = brauer_element(parse_partition(args.left))
         y = brauer_element(parse_partition(args.right))
-        prod = brauer_product(x, y, args.N)
-        inputs = {
-            "category": args.category,
-            "left": args.left,
-            "right": args.right,
-            "N": args.N,
-        }
         terms = [
             {"partition": serialize(p), "coefficient": str(c)}
-            for p, c in prod.terms
+            for p, c in brauer_product(x, y, args.N).terms
         ]
-        return inputs, {"result": terms, "checks": len(terms)}
+        return {"result": terms, "checks": len(terms)}
     if args.k is None:
         raise GrammarError("kernel mode needs --k")
     dim = brauer_kernel_dim(spec, args.k, args.N)
-    inputs = {"category": args.category, "k": args.k, "N": args.N}
-    return inputs, {"result": {"kernel_dim": dim}, "checks": 1}
+    return {"result": {"kernel_dim": dim}, "checks": 1}
 
 
-def _cmd_verify(args, cfg: Config) -> tuple[dict, dict]:
+def _cmd_verify(args, spec: CategorySpec | None) -> dict:
     report = run_suite(args.suite, N=args.N, max_points=args.max_points)
-    inputs = {
-        "suite": args.suite,
-        "N": args.N,
-        "max_points": args.max_points,
-    }
-    return inputs, {
+    return {
         "result": {"passed": report["passed"], "failures": report["failures"]},
         "checks": report["checks"],
     }
 
 
-def _cmd_table(args, cfg: Config) -> tuple[dict, dict]:
-    spec = category_from_name(args.category, cfg.max_points)
+def _cmd_table(args, spec: CategorySpec | None) -> dict:
     scheme = LABELLED_IDS.get(spec.builtin or "")
     if not scheme:
         raise GrammarError("fusion tables need a labelled category")
     if args.max_label < 0:
         raise ValueError("--max-label must be nonnegative")
-    if scheme in ("S", "O", "B"):
-        labels: list = list(range(args.max_label + 1))
-    else:
-        alphabet = ("0", "1") if scheme == "H" else ("w", "b")
-        labels = [""]
-        frontier = [""]
-        for _ in range(args.max_label):
-            frontier = [w + ch for w in frontier for ch in alphabet]
-            labels.extend(frontier)
-    rows = []
-    for a in labels:
-        for b in labels:
-            rows.append(
-                {"left": a, "right": b, "result": labelled_fusion(scheme, a, b)}
-            )
-    inputs = {"category": args.category, "max_label": args.max_label}
-    return inputs, {"result": rows, "checks": len(rows)}
+    labels = labels_up_to(scheme, args.max_label)
+    rows = [
+        {"left": a, "right": b, "result": labelled_fusion(scheme, a, b)}
+        for a in labels
+        for b in labels
+    ]
+    return {"result": rows, "checks": len(rows)}
 
 
 _COMMANDS = {
@@ -299,10 +231,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     br = sub.add_parser("brauer", help="twisted diagram algebra computations")
     br.add_argument("--category", required=True)
-    br.add_argument("--N", type=int, required=True)
     br.add_argument("--k", type=int)
     br.add_argument("--left")
     br.add_argument("--right")
+    br.add_argument("--N", type=int, required=True)
 
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("--suite", choices=SUITES, required=True)
@@ -331,24 +263,29 @@ def _pretty_render(doc: dict) -> str:
 
 
 def run(argv: list[str]) -> int:
+    parser = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code else EXIT_OK
     try:
-        cfg = Config.load(args.config)
+        max_points = _max_points(args.config)
         start = time.monotonic()
-        inputs, payload = _COMMANDS[args.command](args, cfg)
+        spec = None
+        if "category" in args:
+            spec = category_from_name(args.category, max_points)
+        payload = _COMMANDS[args.command](args, spec)
         elapsed = int((time.monotonic() - start) * 1000) if args.timing else 0
-    except (GrammarError, ColorError, ArityError, ValueError, OSError) as exc:
+    except (ValueError, OSError, *_REFUSAL_EXITS) as exc:
         print(json.dumps({"schema": SCHEMA, "error": str(exc)}), file=sys.stderr)
-        return EXIT_PARSE
-    except BoundsExceededError as exc:
-        print(json.dumps({"schema": SCHEMA, "error": str(exc)}), file=sys.stderr)
-        return EXIT_BOUNDS
-    except UndecidableMembershipError as exc:
-        print(json.dumps({"schema": SCHEMA, "error": str(exc)}), file=sys.stderr)
-        return EXIT_UNDECIDABLE
+        return _REFUSAL_EXITS.get(type(exc), EXIT_PARSE)
+    # the subcommand's options as given, in declaration order
+    shared = {action.dest for action in parser._actions}
+    inputs = {
+        key: val
+        for key, val in vars(args).items()
+        if key not in shared and val is not None
+    }
     doc = {
         "schema": SCHEMA,
         "command": args.command,

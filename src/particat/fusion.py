@@ -24,10 +24,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, islice, product
+from math import isqrt
 from typing import Optional, Union
 
 from .partition import (
+    GrammarError,
     Partition,
     empty_partition,
     identity,
@@ -40,6 +42,7 @@ from .partition import (
     BLACK,
 )
 from .structure import (
+    _dominated_members,
     _dominates,
     _equivalence_classes,
     _graft,
@@ -52,6 +55,7 @@ from .structure import (
     word_u,
 )
 from .categories import (
+    BoundsExceededError,
     CategorySpec,
     contains,
     is_noncrossing_spec,
@@ -69,6 +73,8 @@ __all__ = [
     "label_for",
     "label_to_partition",
     "labelled_fusion",
+    "labels_up_to",
+    "TABLE_ROWS_CAP",
     "semiring_tensor",
     "z2_semiring",
     "alternating_semiring",
@@ -85,6 +91,10 @@ LABELLED_IDS = {
     "nceven": "H",
     "ucol": "U",
 }
+
+TABLE_ROWS_CAP = 65_536
+"""Most rows of a fusion table, one per pair of labels: :func:`labels_up_to`
+refuses a size past it (m > 255 for numbers, m > 7 for words)."""
 
 
 @dataclass(frozen=True)
@@ -201,21 +211,14 @@ def fusion_brute_force(
     if not (contains(spec, p) and contains(spec, q)):
         raise ValueError("both diagrams must belong to the category")
     _check_projective_operands(p, q)
-    a, b = p.upper, q.upper
     pq = tensor(p, q)
-    # every diagram below is a projective member of p's or q's color word,
-    # so domination runs unchecked
-    lowered = [
-        tensor(l, q)
-        for l in projectives(spec, a)
-        if (not p.colored or l.colors == p.colors) and l != p and _dominates(p, l)
-    ] + [
-        tensor(p, r)
-        for r in projectives(spec, b)
-        if (not q.colored or r.colors == q.colors) and r != q and _dominates(q, r)
+    lowered = [tensor(l, q) for l in _dominated_members(spec, p)] + [
+        tensor(p, r) for r in _dominated_members(spec, q)
     ]
     out = []
-    for m in projectives(spec, a + b):
+    # p, q and every member kept below share color words, so domination
+    # runs unchecked
+    for m in projectives(spec, p.upper + q.upper):
         if m.colored and m.colors != pq.colors:
             continue
         if not _dominates(pq, m):
@@ -258,37 +261,70 @@ def label_for(spec: CategorySpec, p: Partition) -> FusionLabel:
     return FusionLabel("class", p)
 
 
-def label_to_partition(scheme: str, label: Union[int, str]) -> Partition:
-    """Canonical representative diagram of a label.
+def _label_value(scheme: Optional[str], label: Union[int, str]) -> Union[int, str]:
+    """A label, as text or value, read in its scheme: an int for S, O and B,
+    a 0/1 word for H, a plain w/b word for U.  :func:`labelled_fusion` and
+    :func:`label_to_partition` read every label here."""
+    if scheme in ("S", "O", "B"):
+        try:
+            return int(label)
+        except ValueError:
+            raise GrammarError(f"expected a number label, got {label!r}") from None
+    if scheme == "H":
+        if set(str(label)) <= {"0", "1"}:
+            return str(label)
+        raise GrammarError(f"expected a 0/1 word label, got {label!r}")
+    if scheme == "U":
+        return runs_decode(str(label))
+    raise GrammarError(
+        f"{label!r} is not a diagram and the category has no label scheme"
+    )
+
+
+def label_to_partition(scheme: Optional[str], label: Union[int, str]) -> Partition:
+    """Canonical representative diagram of a label, given as text or value.
 
     Natural number schemes use the k-strand identity, with the double
     singleton standing in for zero where singletons exist (scheme S) and the
     empty diagram elsewhere; word schemes tensor the single-block letters.
     """
-    if scheme in ("S", "O", "B"):
-        k = int(label)
-        if k < 0:
-            raise ValueError("labels are nonnegative")
-        if k == 0:
-            return parse_partition("a:b") if scheme == "S" else empty_partition()
-        return identity(k)
+    value = _label_value(scheme, label)
     if scheme == "H":
-        word = str(label)
-        if not set(word) <= {"0", "1"}:
-            raise ValueError(f"bad Z2 word {word!r}")
         rep = empty_partition()
         four = parse_partition("aa:aa")
         strand = identity(1)
-        for ch in word:
+        for ch in value:
             rep = tensor(rep, four if ch == "0" else strand)
         return rep
     if scheme == "U":
-        word = runs_decode(str(label))
         rep = empty_partition(colored=True)
-        for ch in word:
+        for ch in value:
             rep = tensor(rep, identity(1, colors=ch))
         return rep
-    raise ValueError(f"unknown label scheme {scheme!r}")
+    if value < 0:
+        raise ValueError("labels are nonnegative")
+    if value == 0:
+        return parse_partition("a:b") if scheme == "S" else empty_partition()
+    return identity(value)
+
+
+def labels_up_to(scheme: str, m: int) -> list[Union[int, str]]:
+    """The labels of size at most m in table order: 0..m for S, O and B;
+    words over 0/1 (H) or w/b (U) by length, then letter order.  Builds at
+    most the labels that :data:`TABLE_ROWS_CAP` admits, then refuses."""
+    if scheme in ("S", "O", "B"):
+        labels = range(m + 1)
+    elif scheme in ("H", "U"):
+        letters = "01" if scheme == "H" else WHITE + BLACK
+        labels = ("".join(w) for n in range(m + 1) for w in product(letters, repeat=n))
+    else:
+        raise ValueError(f"unknown label scheme {scheme!r}")
+    out = list(islice(labels, isqrt(TABLE_ROWS_CAP) + 1))
+    if len(out) ** 2 > TABLE_ROWS_CAP:
+        raise BoundsExceededError(
+            f"a fusion table up to label size {m} passes {TABLE_ROWS_CAP} rows"
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -369,27 +405,22 @@ def single_arc_semiring() -> FreeFusionSemiring:
 
 
 def labelled_fusion(
-    scheme: str, left: Union[int, str], right: Union[int, str]
+    scheme: Optional[str], left: Union[int, str], right: Union[int, str]
 ) -> list[Union[int, str]]:
-    """Closed-form fusion on labels for the five standard schemes.
+    """Closed-form fusion on labels, given as text or values, for the five
+    standard schemes.
 
     S: all naturals from |k - l| to k + l.  O and B: the same range in steps
     of two.  H: the Z2-word semiring.  U: the alternating-word semiring.
     """
-    if scheme in ("S", "O", "B"):
-        k, l = int(left), int(right)
-        if k < 0 or l < 0:
-            raise ValueError("labels are nonnegative")
-        return list(range(abs(k - l), k + l + 1, 1 if scheme == "S" else 2))
+    k, l = _label_value(scheme, left), _label_value(scheme, right)
     if scheme == "H":
-        w, wp = str(left), str(right)
-        if not (set(w) <= {"0", "1"} and set(wp) <= {"0", "1"}):
-            raise ValueError("H labels are 0/1 words")
-        return semiring_tensor(z2_semiring(), w, wp)
+        return semiring_tensor(z2_semiring(), k, l)
     if scheme == "U":
-        w, wp = runs_decode(str(left)), runs_decode(str(right))
-        return semiring_tensor(alternating_semiring(), w, wp)
-    raise ValueError(f"unknown label scheme {scheme!r}")
+        return semiring_tensor(alternating_semiring(), k, l)
+    if k < 0 or l < 0:
+        raise ValueError("labels are nonnegative")
+    return list(range(abs(k - l), k + l + 1, 1 if scheme == "S" else 2))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .partition import (
     tensor,
 )
 from .structure import (
-    _dominates,
+    _dominated_members,
     _equivalence_classes,
     p_sigma,
     sym_group,
@@ -281,17 +281,6 @@ def _check_member_projective(spec: CategorySpec, p: Partition) -> None:
         raise ValueError("expected a projective diagram")
     if not contains(spec, p):
         raise ValueError("diagram does not belong to the category")
-
-
-def _dominated_members(
-    spec: CategorySpec, p: Partition
-) -> list[Partition]:
-    """Projective members strictly below p, which the caller has checked."""
-    pool = projectives(spec, p.upper)
-    if p.colored:
-        word = p.upper_colors()
-        pool = [q for q in pool if q.upper_colors() == word]
-    return [q for q in pool if q != p and _dominates(p, q)]
 
 
 def _check_caps(spec: CategorySpec, p: Partition, N: int) -> list[Partition]:

@@ -47,6 +47,7 @@ from .categories import (
     CategorySpec,
     contains,
     is_noncrossing_spec,
+    projectives,
 )
 
 __all__ = [
@@ -282,6 +283,16 @@ def _dominates(p: Partition, q: Partition) -> bool:
             if owner[x] != i:
                 return False
     return True
+
+
+def _dominated_members(spec: CategorySpec, p: Partition) -> list[Partition]:
+    """Projective members strictly below p, a projective member that the
+    caller has checked: the members of p's color word that p dominates."""
+    pool = projectives(spec, p.upper)
+    if p.colored:
+        word = p.upper_colors()
+        pool = [q for q in pool if q.upper_colors() == word]
+    return [q for q in pool if q != p and _dominates(p, q)]
 
 
 def strictly_dominates(p: Partition, q: Partition) -> bool:

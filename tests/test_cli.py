@@ -81,6 +81,25 @@ class TestFuse:
         argv = ["fuse", "--category", "nc", "--left", "-3", "--right", "2"]
         assert run_error(capsys, argv) == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "category, bad, good, error",
+        [
+            ("nc", "x", "1", "expected a number label, got 'x'"),
+            ("nceven", "012", "0", "expected a 0/1 word label, got '012'"),
+            ("ucol", "2x", "1w", "bad alternating word '2x'"),
+            ("p", "1", "a:a",
+             "'1' is not a diagram and the category has no label scheme"),
+        ],
+    )
+    def test_bad_label_stderr(self, capsys, category, bad, good, error):
+        """fusion's label check writes the error, whichever operand is bad
+        and whether the other one is a label or a diagram."""
+        want = json.dumps({"schema": "particat/1", "error": error}) + "\n"
+        for left, right in ((bad, good), (good, bad), (bad, "a:a"), ("a:a", bad)):
+            argv = ["fuse", "--category", category, "--left", left, "--right", right]
+            assert run(argv) == EXIT_PARSE
+            assert capsys.readouterr() == ("", want)
+
     def test_mixing_cap_exit(self, capsys):
         # two 6-strand identities in p would need 291,793 mixing diagrams
         six = "abcdef:abcdef"
@@ -242,6 +261,61 @@ class TestTable:
         assert rows[(1, 1)] == [0, 2]
         assert rows[(2, 2)] == [0, 2, 4]
 
+    @pytest.mark.parametrize(
+        "category, max_label", [("ucol", 8), ("nceven", 8), ("nc", 256)]
+    )
+    def test_row_cap_exit(self, capsys, category, max_label):
+        # 511 words make 261,121 rows; 257 numbers make 66,049
+        argv = ["table", "--category", category, "--max-label", str(max_label)]
+        assert run_error(capsys, argv) == EXIT_BOUNDS
+
+
+class TestInputsEcho:
+    """``inputs`` echoes the options the subcommand was given, defaults
+    included and unset options left out: the JSON document sorts its keys,
+    ``--pretty`` lists them in the subcommand's declaration order."""
+
+    @pytest.mark.parametrize(
+        "argv, inputs",
+        [
+            (["fuse", "--right", "a:a", "--left", "2", "--category", "nc"],
+             [("category", "nc"), ("left", "2"), ("right", "a:a")]),
+            (["member", "--category", "nc2", "--partition", "ab:ab"],
+             [("category", "nc2"), ("partition", "ab:ab")]),
+            (["sym", "--category", "p", "--partition", "ab:ab"],
+             [("category", "p"), ("partition", "ab:ab")]),
+            (["decompose", "--category", "nc", "--power", "2"],
+             [("category", "nc"), ("power", 2)]),
+            (["decompose", "--N", "3", "--category", "nc", "--power", "2"],
+             [("category", "nc"), ("power", 2), ("N", 3)]),
+            (["brauer", "--N", "3", "--right", "aa:bb", "--left", "ab:ab",
+              "--category", "p2"],
+             [("category", "p2"), ("left", "ab:ab"), ("right", "aa:bb"),
+              ("N", 3)]),
+            (["brauer", "--N", "4", "--k", "2", "--category", "p2"],
+             [("category", "p2"), ("k", 2), ("N", 4)]),
+            (["verify", "--suite", "fusion", "--max-points", "2"],
+             [("suite", "fusion"), ("N", 3), ("max_points", 2)]),
+            (["table", "--category", "nc2"],
+             [("category", "nc2"), ("max_label", 3)]),
+        ],
+        ids=[
+            "fuse", "member", "sym", "decompose", "decompose-N",
+            "brauer-product", "brauer-kernel", "verify-default-N", "table",
+        ],
+    )
+    def test_json_and_pretty(self, capsys, argv, inputs):
+        code = run(["--timing", *argv])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert json.loads(out)["inputs"] == dict(inputs)
+        assert f'"inputs": {json.dumps(dict(inputs), sort_keys=True)}' in out
+        assert run(["--pretty", *argv]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1 : len(inputs) + 2] == [
+            *(f"  {key}: {val}" for key, val in inputs), "result:"
+        ]
+
 
 class TestNonsenseInputs:
     """Negative sizes, N < 1 and non-projective symmetry requests are
@@ -258,6 +332,8 @@ class TestNonsenseInputs:
             ["brauer", "--category", "p2", "--N", "-1",
              "--left", "ab:ab", "--right", "aa:bb"],
             ["brauer", "--category", "p2", "--k", "-1", "--N", "2"],
+            ["brauer", "--category", "p2", "--left", "ab:ab", "--right", "ab:ab",
+             "--k", "2", "--N", "2"],
             ["sym", "--category", "p", "--partition", "ab:ba"],
             ["sym", "--category", "nc", "--partition", "aab:acc"],
         ],
@@ -268,6 +344,7 @@ class TestNonsenseInputs:
             "brauer-product-N0",
             "brauer-product-N-negative",
             "brauer-kernel-k-negative",
+            "brauer-product-k",
             "sym-crossing",
             "sym-non-projective-nc",
         ],

@@ -7,6 +7,7 @@ import pytest
 from particat import fusion as fusion_module
 from particat import structure
 from particat.partition import (
+    GrammarError,
     Partition,
     conjugate_colors,
     empty_partition,
@@ -18,8 +19,14 @@ from particat.partition import (
     tensor,
 )
 from particat.structure import boxvert, word_h, word_u
-from particat.categories import CategorySpec, contains, projectives
+from particat.categories import (
+    BoundsExceededError,
+    CategorySpec,
+    contains,
+    projectives,
+)
 from particat.fusion import (
+    TABLE_ROWS_CAP,
     alternating_semiring,
     decompose_power,
     freeness_probe,
@@ -29,6 +36,7 @@ from particat.fusion import (
     label_for,
     label_to_partition,
     labelled_fusion,
+    labels_up_to,
     runs_decode,
     semiring_tensor,
     single_arc_semiring,
@@ -334,6 +342,89 @@ class TestDecomposePower:
             for rec in decompose_power(spec, 2):
                 rep = rec["representative"]
                 assert rep == min(rec["members"], key=Partition.sort_key)
+
+
+class TestLabelText:
+    """Labels arrive as text or values; each public label function reads
+    them through one check."""
+
+    def test_text_equals_value(self):
+        assert labelled_fusion("S", "2", "3") == labelled_fusion("S", 2, 3)
+        assert label_to_partition("O", "2") == label_to_partition("O", 2)
+        assert labelled_fusion("U", "2w", "1b") == labelled_fusion("U", "ww", "b")
+
+    @pytest.mark.parametrize(
+        "scheme, text, message",
+        [
+            ("S", "x", "expected a number label, got 'x'"),
+            ("B", "1.5", "expected a number label, got '1.5'"),
+            ("H", "012", "expected a 0/1 word label, got '012'"),
+            ("U", "2x", "bad alternating word '2x'"),
+            (None, "1", "'1' is not a diagram and the category has no label scheme"),
+        ],
+    )
+    def test_bad_label_messages(self, scheme, text, message):
+        for call in (
+            lambda: labelled_fusion(scheme, text, text),
+            lambda: label_to_partition(scheme, text),
+        ):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
+
+    def test_left_label_checked_first(self):
+        with pytest.raises(GrammarError, match="'x'"):
+            labelled_fusion("S", "x", "y")
+        with pytest.raises(GrammarError, match="'y'"):
+            labelled_fusion("S", "-1", "y")
+
+
+def _table_labels_oracle(scheme, m):
+    """The label enumeration of the fusion table as the command line built
+    it by hand: a range for the number schemes, words grown letter by letter
+    for the word schemes."""
+    if scheme in ("S", "O", "B"):
+        return list(range(m + 1))
+    alphabet = ("0", "1") if scheme == "H" else ("w", "b")
+    labels = [""]
+    frontier = [""]
+    for _ in range(m):
+        frontier = [w + ch for w in frontier for ch in alphabet]
+        labels.extend(frontier)
+    return labels
+
+
+class TestLabelsUpTo:
+    @pytest.mark.parametrize("scheme", ["S", "O", "B", "H", "U"])
+    def test_matches_table_oracle(self, scheme):
+        for m in range(4):
+            assert labels_up_to(scheme, m) == _table_labels_oracle(scheme, m)
+
+    def test_negative_size_is_empty(self):
+        assert labels_up_to("S", -1) == labels_up_to("H", -1) == []
+
+    def test_largest_tables_under_the_cap(self):
+        assert len(labels_up_to("S", 255)) ** 2 == TABLE_ROWS_CAP
+        assert len(labels_up_to("U", 7)) == 255
+
+    @pytest.mark.parametrize(
+        "scheme, m", [("S", 256), ("O", 10**30), ("H", 8), ("U", 10**6)]
+    )
+    def test_refuses_past_the_cap(self, scheme, m, monkeypatch):
+        # no more labels than the cap admits are built before the refusal
+        built = []
+        real = fusion_module.product
+        monkeypatch.setattr(
+            fusion_module, "product",
+            lambda *a, **kw: (built.append(w) or w for w in real(*a, **kw)),
+        )
+        with pytest.raises(BoundsExceededError):
+            labels_up_to(scheme, m)
+        assert len(built) <= 257
+
+    def test_unknown_scheme(self):
+        with pytest.raises(ValueError):
+            labels_up_to("Q", 1)
 
 
 class TestRuns:

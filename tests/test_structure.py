@@ -365,6 +365,18 @@ class TestDomination:
         # both answers occur, so neither side is vacuous
         assert 0 < below < len(pairs)
 
+    @pytest.mark.parametrize("spec, max_k", [(NC, 3), (UCOL, 2), (P_ALL, 2)])
+    def test_dominated_members_match_oracle(self, spec, max_k):
+        for k in range(max_k + 1):
+            pool = projectives(spec, k)
+            for p in pool:
+                want = [
+                    q for q in pool
+                    if q.colors == p.colors and q != p
+                    and dominates_by_composition(p, q)
+                ]
+                assert structure._dominated_members(spec, p) == want, str(p)
+
     def test_domination_composes_nothing(self, monkeypatch):
         calls = []
         original = structure.compose
