@@ -239,7 +239,8 @@ def _runs_encode(word: str) -> str:
     return "".join(f"{len(list(run))}{ch}" for ch, run in groupby(word))
 
 
-_RUN = rf"(\d*)([{WHITE}{BLACK}])"
+# a run: an optional count of ASCII digits, at least 1, then its letter
+_RUN = rf"(0*[1-9][0-9]*|)([{WHITE}{BLACK}])"
 
 
 def runs_decode(text: str) -> str:
@@ -266,10 +267,10 @@ def _label_value(scheme: Optional[str], label: Union[int, str]) -> Union[int, st
     a 0/1 word for H, a plain w/b word for U.  :func:`labelled_fusion` and
     :func:`label_to_partition` read every label here."""
     if scheme in ("S", "O", "B"):
-        try:
+        # ASCII digits only; a sign is read so that the range check refuses it
+        if re.fullmatch("-?[0-9]+", str(label)):
             return int(label)
-        except ValueError:
-            raise GrammarError(f"expected a number label, got {label!r}") from None
+        raise GrammarError(f"expected a number label, got {label!r}")
     if scheme == "H":
         if set(str(label)) <= {"0", "1"}:
             return str(label)
@@ -333,20 +334,17 @@ def labels_up_to(scheme: str, m: int) -> list[Union[int, str]]:
 
 @dataclass(frozen=True)
 class FreeFusionSemiring:
-    """Letter set with involution and a partial letter fusion law."""
+    """Letters given by their involution, and a partial letter fusion law."""
 
-    letters: tuple[str, ...]
     involution: tuple[tuple[str, str], ...]
     fusion_law: tuple[tuple[tuple[str, str], str], ...]
-
-    def conj_letter(self, x: str) -> str:
-        return dict(self.involution)[x]
 
     def fuse(self, x: str, y: str) -> Optional[str]:
         return dict(self.fusion_law).get((x, y))
 
     def conj(self, word: str) -> str:
-        return "".join(self.conj_letter(x) for x in reversed(word))
+        bar = dict(self.involution)
+        return "".join(bar[x] for x in reversed(word))
 
 
 def semiring_tensor(s: FreeFusionSemiring, w: str, wp: str) -> list[str]:
@@ -354,15 +352,17 @@ def semiring_tensor(s: FreeFusionSemiring, w: str, wp: str) -> list[str]:
 
     Sums over all splittings w = a z with the conjugate of z a prefix of w';
     each splitting contributes the concatenation and, when both remainders
-    are nonempty and the touching letters fuse, the fused word.
+    are nonempty and the touching letters fuse, the fused word.  The
+    conjugate of z = w[cut:] is the prefix of conj(w) of length len(w) - cut,
+    so w is conjugated once for all cuts.
     """
+    wbar = s.conj(w)
     out = []
     for cut in range(len(w), -1, -1):
-        a, z = w[:cut], w[cut:]
-        zbar = s.conj(z)
+        zbar = wbar[: len(w) - cut]
         if not wp.startswith(zbar):
             continue
-        b = wp[len(zbar) :]
+        a, b = w[:cut], wp[len(zbar) :]
         out.append(a + b)
         if a and b:
             fused = s.fuse(a[-1], b[0])
@@ -379,7 +379,6 @@ def z2_semiring() -> FreeFusionSemiring:
     not change block sizes.
     """
     return FreeFusionSemiring(
-        ("0", "1"),
         (("0", "0"), ("1", "1")),
         ((("0", "0"), "0"), (("0", "1"), "1"), (("1", "0"), "1"), (("1", "1"), "0")),
     )
@@ -387,17 +386,17 @@ def z2_semiring() -> FreeFusionSemiring:
 
 def alternating_semiring() -> FreeFusionSemiring:
     """Two mutually conjugate letters with no fusion at all."""
-    return FreeFusionSemiring((WHITE, BLACK), ((WHITE, BLACK), (BLACK, WHITE)), ())
+    return FreeFusionSemiring(((WHITE, BLACK), (BLACK, WHITE)), ())
 
 
 def single_loop_semiring() -> FreeFusionSemiring:
     """One self-conjugate letter that fuses with itself (scheme S)."""
-    return FreeFusionSemiring(("a",), (("a", "a"),), ((("a", "a"), "a"),))
+    return FreeFusionSemiring((("a", "a"),), ((("a", "a"), "a"),))
 
 
 def single_arc_semiring() -> FreeFusionSemiring:
     """One self-conjugate letter without fusion (schemes O and B)."""
-    return FreeFusionSemiring(("a",), (("a", "a"),), ())
+    return FreeFusionSemiring((("a", "a"),), ())
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ Every diagram p factors uniquely as p = q* r s where s and q are *building*
 diagrams (each lower point sits in its own block, is connected upward, and
 lower points are ordered by their smallest upper neighbour) and r is a
 *through* diagram (a permutation written as vertical-free pairs).  The number
-of through-blocks of p equals the middle arity of the factorization.
+of through-blocks of p equals the middle arity of the factorization.  One
+routine, :func:`upper_building`, reads a building diagram off p's blocks:
+s is that of p and q that of p turned over.
 
 Projective diagrams (symmetric idempotents, equivalently q* q for some q) are
 partially ordered by domination: q is dominated by p when pq = q.  The order
@@ -162,66 +164,47 @@ def is_through(p: Partition) -> bool:
     )
 
 
+def upper_building(p: Partition) -> Partition:
+    """The upper building diagram s of the factorization p = q* r s (for
+    projective p, p = s* s): p's upper block structure with each
+    through-block pinned to a fresh white lower point, in order of smallest
+    upper point."""
+    k = p.upper
+    blocks = []
+    t = 0
+    # canonical order puts the blocks meeting the upper row first, by their
+    # smallest upper point
+    for b in p.blocks:
+        if b[0] >= k:
+            break
+        if b[-1] >= k:
+            b = tuple(x for x in b if x < k) + (k + t,)
+            t += 1
+        blocks.append(b)
+    colors = None if p.colors is None else p.colors[:k] + (WHITE,) * t
+    return Partition.make(k, t, blocks, colors)
+
+
+def _through_blocks(p: Partition) -> list[tuple[int, ...]]:
+    """p's through-blocks in canonical order, that is by smallest upper point."""
+    k = p.upper
+    return [b for b in p.blocks if b[0] < k and b[-1] >= k]
+
+
 def through_block_decomposition(p: Partition) -> ThroughBlockDecomposition:
     """Factor p = q* r s through its through-blocks.
 
-    The upper building diagram keeps p's upper block structure and pins each
-    through-block to a fresh lower point, ordered by smallest upper point;
-    the lower building diagram does the same from below; the middle diagram
-    records which upper through-block continues into which lower one.
+    s is :func:`upper_building` of p and q that of p turned over; the middle
+    diagram r joins the i-th through-block by smallest upper point to its
+    rank by smallest lower point.
     """
-    k, l = p.upper, p.lower
-    through = [
-        i
-        for i, b in enumerate(p.blocks)
-        if b[0] < k and b[-1] >= k
-    ]
-    t = len(through)
-    # canonical block order sorts by overall min, which for blocks meeting the
-    # upper row is the min upper point; so `through` is already in upper order
-    upper_rank = {b: i for i, b in enumerate(through)}
-    lower_rank = {
-        b: i
-        for i, b in enumerate(
-            sorted(through, key=lambda bi: min(x for x in p.blocks[bi] if x >= k))
-        )
-    }
-
-    s_blocks = []
-    for bi, b in enumerate(p.blocks):
-        ups = [x for x in b if x < k]
-        if not ups:
-            continue
-        if bi in upper_rank:
-            s_blocks.append(tuple(ups) + (k + upper_rank[bi],))
-        else:
-            s_blocks.append(tuple(ups))
-    q_blocks = []
-    for bi, b in enumerate(p.blocks):
-        lows = [x - k for x in b if x >= k]
-        if not lows:
-            continue
-        if bi in lower_rank:
-            q_blocks.append(tuple(lows) + (l + lower_rank[bi],))
-        else:
-            q_blocks.append(tuple(lows))
-    r_blocks = [(upper_rank[bi], t + lower_rank[bi]) for bi in through]
-
-    s_colors = q_colors = r_colors = None
-    if p.colored:
-        assert p.colors is not None
-        s_colors = p.colors[:k] + (WHITE,) * t
-        q_colors = p.colors[k:] + (WHITE,) * t
-        r_colors = (WHITE,) * (2 * t)
-    s = Partition.make(k, t, s_blocks, s_colors)
-    q = Partition.make(l, t, q_blocks, q_colors)
-    r = Partition.make(t, t, r_blocks, r_colors)
-    return ThroughBlockDecomposition(q, r, s)
-
-
-def upper_building(p: Partition) -> Partition:
-    """The s-part of the factorization of a projective p (so p = s* s)."""
-    return through_block_decomposition(p).upper_building
+    k = p.upper
+    lows = [next(x for x in b if x >= k) for b in _through_blocks(p)]
+    order = sorted(lows)
+    r = to_through_partition(tuple(order.index(x) for x in lows), p.colored)
+    return ThroughBlockDecomposition(
+        upper_building(involution(p)), r, upper_building(p)
+    )
 
 
 def projective_from(q: Partition) -> Partition:
@@ -559,11 +542,6 @@ def boxvert(p: Partition, q: Partition, a: int) -> Partition:
 
 # ---------------------------------------------------------------------------
 # word invariants
-
-
-def _through_blocks(p: Partition) -> list[tuple[int, ...]]:
-    k = p.upper
-    return [b for b in p.blocks if b[0] < k and b[-1] >= k]
 
 
 def word_h(p: Partition) -> str:

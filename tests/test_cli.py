@@ -85,8 +85,11 @@ class TestFuse:
         "category, bad, good, error",
         [
             ("nc", "x", "1", "expected a number label, got 'x'"),
+            ("nc", "1_0", "1", "expected a number label, got '1_0'"),
+            ("nc2", " 1", "1", "expected a number label, got ' 1'"),
             ("nceven", "012", "0", "expected a 0/1 word label, got '012'"),
             ("ucol", "2x", "1w", "bad alternating word '2x'"),
+            ("ucol", "0w", "w", "bad alternating word '0w'"),
             ("p", "1", "a:a",
              "'1' is not a diagram and the category has no label scheme"),
         ],
@@ -132,6 +135,9 @@ class TestMember:
             ]
         )
         assert code == EXIT_UNDECIDABLE
+        error = "abc:abc has 6 points, beyond the bound 4 of the generated category"
+        want = json.dumps({"schema": "particat/1", "error": error}) + "\n"
+        assert capsys.readouterr() == ("", want)
 
     def test_closure_cap_exit(self, capsys, tmp_path):
         # without --config the closure runs to 10 points: 3,562 words of

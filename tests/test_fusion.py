@@ -202,18 +202,32 @@ class TestNestedPath:
 
     def test_crossing_decomposition_budget(self, monkeypatch):
         # op budget: the building diagrams of both factors are built once
-        # for all 19,091 mixings, not once per graft
-        calls = []
-        real = structure.through_block_decomposition
+        # for all 19,091 mixings, not once per graft, and without the full
+        # factorization
+        calls = {"upper_building": 0, "through_block_decomposition": 0}
+        for name in calls:
+            real = getattr(structure, name)
 
-        def counting(p):
-            calls.append(p)
-            return real(p)
+            def counting(p, name=name, real=real):
+                calls[name] += 1
+                return real(p)
 
-        monkeypatch.setattr(structure, "through_block_decomposition", counting)
+            monkeypatch.setattr(structure, name, counting)
         res = fusion(P2, identity(5), identity(5))
         assert res.members
-        assert len(calls) <= 2
+        assert calls == {"upper_building": 2, "through_block_decomposition": 0}
+        # and each building diagram is one Partition.make
+        p = parse_partition("abcb:cdae")
+        made = []
+        real_make = Partition.make
+
+        def counting_make(*args):
+            made.append(args)
+            return real_make(*args)
+
+        monkeypatch.setattr(Partition, "make", staticmethod(counting_make))
+        structure.upper_building(p)
+        assert len(made) == 1
 
 
 class TestLabelledFusion:
@@ -306,6 +320,33 @@ class TestSemiring:
             for b in color_words(3):
                 assert semiring_tensor(s, a, b) == labelled_fusion("U", a, b)
 
+    @pytest.mark.parametrize(
+        "s, words",
+        [(z2_semiring(), z2_words(5)), (alternating_semiring(), color_words(5))],
+    )
+    def test_matches_per_cut_conjugation(self, s, words):
+        """The one conjugation of w serves every cut: same output as
+        conjugating each suffix afresh."""
+
+        def per_cut(w, wp):
+            out = []
+            for cut in range(len(w), -1, -1):
+                a, z = w[:cut], w[cut:]
+                zbar = s.conj(z)
+                if not wp.startswith(zbar):
+                    continue
+                b = wp[len(zbar) :]
+                out.append(a + b)
+                if a and b:
+                    fused = s.fuse(a[-1], b[0])
+                    if fused is not None:
+                        out.append(a[:-1] + fused + b[1:])
+            return sorted(out, key=lambda word: (len(word), word))
+
+        for w in words:
+            for wp in words:
+                assert semiring_tensor(s, w, wp) == per_cut(w, wp)
+
     def test_single_letter_instances(self):
         loop = single_loop_semiring()
         arc = single_arc_semiring()
@@ -358,8 +399,14 @@ class TestLabelText:
         [
             ("S", "x", "expected a number label, got 'x'"),
             ("B", "1.5", "expected a number label, got '1.5'"),
+            ("S", "1_0", "expected a number label, got '1_0'"),
+            ("O", " 1", "expected a number label, got ' 1'"),
+            ("S", "\u0663", "expected a number label, got '\u0663'"),
             ("H", "012", "expected a 0/1 word label, got '012'"),
             ("U", "2x", "bad alternating word '2x'"),
+            ("U", "0w", "bad alternating word '0w'"),
+            ("U", "2w00b", "bad alternating word '2w00b'"),
+            ("U", "\u0663w", "bad alternating word '\u0663w'"),
             (None, "1", "'1' is not a diagram and the category has no label scheme"),
         ],
     )

@@ -4,8 +4,10 @@ Besides the category laws this checks the two facts the one-row closure
 rests on: k ``ul`` rotations take a diagram in P(k, l) to its word in
 P(0, k + l), and a full cyclic turn of a colored word is the identity.
 It also checks that the through-block factorization p = q* r s recomposes
-to p, in both color modes, and that the block-refinement test of domination
-agrees with its definition pq = q beyond the arities tested exhaustively.
+to p, in both color modes, with building diagrams q and s and q the upper
+building diagram of p turned over, and that the block-refinement test of
+domination agrees with its definition pq = q beyond the arities tested
+exhaustively.
 """
 
 import pytest
@@ -22,8 +24,10 @@ from particat.partition import (
 )
 from particat.structure import (
     _dominates,
+    is_building,
     projective_from,
     through_block_decomposition,
+    upper_building,
 )
 
 MAX_ROW = 3
@@ -135,7 +139,10 @@ def test_rotations_undo_each_other(p):
 @given(data=st.data())
 def test_through_block_decomposition_recomposes(colored, data):
     p = data.draw(partitions(colored))
-    assert through_block_decomposition(p).recompose() == p
+    d = through_block_decomposition(p)
+    assert d.recompose() == p
+    assert d.lower_building == upper_building(involution(p))
+    assert is_building(d.lower_building) and is_building(d.upper_building)
 
 
 @settings(max_examples=200, deadline=None)
