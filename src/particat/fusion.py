@@ -93,8 +93,9 @@ LABELLED_IDS = {
 }
 
 TABLE_ROWS_CAP = 65_536
-"""Most rows of a fusion table, one per pair of labels: :func:`labels_up_to`
-refuses a size past it (m > 255 for numbers, m > 7 for words)."""
+"""Most rows of a fusion table, one per pair of labels (:func:`labels_up_to`
+refuses m > 255 for numbers, m > 7 for words), and most entries of one label
+fusion, in letters for words (:func:`labelled_fusion`)."""
 
 
 @dataclass(frozen=True)
@@ -411,14 +412,22 @@ def labelled_fusion(
 
     S: all naturals from |k - l| to k + l.  O and B: the same range in steps
     of two.  H: the Z2-word semiring.  U: the alternating-word semiring.
+
+    Raises :class:`~particat.categories.BoundsExceededError`, building
+    nothing, when the answer may pass :data:`TABLE_ROWS_CAP`: 2 min(k, l) + 1
+    labels, or (|a| + |b| + 1)^2 letters for words (min(|a|, |b|) + 1 cuts or
+    fewer, each giving two words of at most |a| + |b| letters).
     """
     k, l = _label_value(scheme, left), _label_value(scheme, right)
-    if scheme == "H":
-        return semiring_tensor(z2_semiring(), k, l)
-    if scheme == "U":
-        return semiring_tensor(alternating_semiring(), k, l)
-    if k < 0 or l < 0:
+    words = scheme in ("H", "U")
+    if not words and (k < 0 or l < 0):
         raise ValueError("labels are nonnegative")
+    size = (len(k) + len(l) + 1) ** 2 if words else 2 * min(k, l) + 1
+    if size > TABLE_ROWS_CAP:
+        raise BoundsExceededError(f"label fusion may pass {TABLE_ROWS_CAP} entries")
+    if words:
+        semiring = z2_semiring() if scheme == "H" else alternating_semiring()
+        return semiring_tensor(semiring, k, l)
     return list(range(abs(k - l), k + l + 1, 1 if scheme == "S" else 2))
 
 

@@ -74,13 +74,12 @@ PROJECTION_ENTRIES_CAP = 2 * 10**7
 # The signature depends only on the row's pattern: each point of the row is
 # tagged 2 * (index of its block among the blocks meeting the row, in block
 # order) + (1 for a through-block).  Through-blocks keep the block order on
-# both rows, so the upper and the lower codes line up.
+# both rows, so the upper and the lower codes line up.  Ranks need no
+# signature (t_map_rank); maps and projection columns do.
 
 
-# both keyed by (N, *pattern): the signature, and the codes it realizes as
-# an int with bit c set for each realized code c
+# keyed by (N, *pattern); the only cache of the matrix model
 _SIGNATURES: dict[tuple[int, ...], np.ndarray] = {}
-_ROW_CODES: dict[tuple[int, ...], int] = {}
 
 
 def _row_pattern(p: Partition, upper: bool) -> tuple[int, ...]:
@@ -98,10 +97,9 @@ def _row_pattern(p: Partition, upper: bool) -> tuple[int, ...]:
 
 def _row_signature(pattern: tuple[int, ...], N: int) -> np.ndarray:
     """The code of every assignment to a row of this pattern, -1 where the
-    assignment violates a block.  Every map and rank starts here on a cache
-    miss, so this is where a bad N and a row past the rows cap are refused."""
-    if N < 1:
-        raise ValueError("N must be at least 1")
+    assignment violates a block.  Every map and projection column starts
+    here on a cache miss, so this is where they refuse a bad N and a row
+    past the rows cap."""
     n = len(pattern)
     _check_rows(n, N)
     digits = np.indices((N,) * n, dtype=np.int64).reshape(n, N**n)
@@ -126,21 +124,10 @@ def _signature(p: Partition, upper: bool, N: int) -> np.ndarray:
     return sig
 
 
-def _realized_codes(p: Partition, N: int) -> int:
-    """The codes realized on both rows of p, as a bitmask; the codes of
-    each row are computed once per pattern and N."""
-    both = -1
-    for upper in (True, False):
-        key = (N, *_row_pattern(p, upper))
-        codes = _ROW_CODES.get(key)
-        if codes is None:
-            realized = set(_row_signature(key[1:], N).tolist()) - {-1}
-            codes = _ROW_CODES[key] = sum(1 << c for c in realized)
-        both &= codes
-    return both
-
-
 def _check_rows(n: int, N: int) -> None:
+    """Refuses a bad N, then a row of n points past the rows cap."""
+    if N < 1:
+        raise ValueError("N must be at least 1")
     if N**n > MATRIX_ROWS_CAP:
         raise ArityError(
             f"matrix would have more than {MATRIX_ROWS_CAP} rows or columns"
@@ -160,28 +147,31 @@ def t_map(p: Partition, N: int) -> np.ndarray:
 
 
 def t_map_rank(p: Partition, N: int) -> int:
-    """Exact rank of the 0/1 matrix of ``p``, without materializing it.
+    """Exact rank of the 0/1 matrix of ``p``: N^t(p), read off the blocks.
 
     Columns sharing a through-block code are equal as vectors; columns with
     different codes have disjoint supports (the rows hitting a column are
-    exactly the valid j whose code matches it), so the distinct nonzero
-    columns are linearly independent and the rank is the number of codes
-    realized on both sides.  The codes of a row depend only on its pattern
-    and on N, so they are computed once per key ``(N, *pattern)``, a flat
-    tuple of small ints, and kept as a bitmask.
+    exactly the valid j whose code matches it), so the rank is the number
+    of codes realized on both rows.  Each row realizes all N^t codes: every
+    through-block meets the row, so giving each through-block its digit of
+    the code, every other block any one value, and each point its block's
+    value is a valid assignment with that code.  So nothing is built or
+    cached; a bad N and a row past the rows cap are refused first, as
+    :func:`t_map` refuses them.
     """
-    return _realized_codes(p, N).bit_count()
+    _check_rows(max(p.upper, p.lower), N)
+    return N ** stats(p).t
 
 
 def _columns(members: list[Partition], N: int) -> list[dict[int, int]]:
-    """The distinct nonzero columns of the members' maps, sparse 0/1."""
+    """The distinct nonzero columns of the members' maps, sparse 0/1: one
+    per through-block code, all N^t of them realized (see t_map_rank)."""
     cols = []
     for q in members:
-        code_j, realized = _signature(q, False, N), _realized_codes(q, N)
+        code_j = _signature(q, False, N)
         cols += [
             dict.fromkeys(np.flatnonzero(code_j == tau).tolist(), 1)
-            for tau in range(realized.bit_length())
-            if realized >> tau & 1
+            for tau in range(N ** stats(q).t)
         ]
     return cols
 

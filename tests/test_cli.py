@@ -103,6 +103,20 @@ class TestFuse:
             assert run(argv) == EXIT_PARSE
             assert capsys.readouterr() == ("", want)
 
+    @pytest.mark.parametrize(
+        "category, left, right",
+        [
+            ("nc", "1000000", "1000000"),
+            ("nceven", "0" * 3000, "0" * 3000),
+            ("ucol", "3000w", "3000b"),
+        ],
+        ids=["nc", "nceven", "ucol"],
+    )
+    def test_label_answer_cap_exit(self, capsys, category, left, right):
+        # these answers would print 9 to 18 MB
+        argv = ["fuse", "--category", category, "--left", left, "--right", right]
+        assert run_error(capsys, argv) == EXIT_BOUNDS
+
     def test_mixing_cap_exit(self, capsys):
         # two 6-strand identities in p would need 291,793 mixing diagrams
         six = "abcdef:abcdef"

@@ -301,6 +301,60 @@ class TestLabelledFusion:
             assert out.count("") == 1
 
 
+class TestLabelFusionCap:
+    @staticmethod
+    def size_bound(scheme, a, b):
+        """The bound labelled_fusion checks: labels for numbers, letters for
+        words."""
+        if scheme in ("H", "U"):
+            return (len(a) + len(b) + 1) ** 2
+        return 2 * min(a, b) + 1
+
+    def test_bound_covers_the_answer(self):
+        for scheme, labels in (
+            ("S", range(21)),
+            ("O", range(21)),
+            ("B", range(21)),
+            ("H", z2_words(6)),
+            ("U", color_words(6)),
+        ):
+            for a, b in product(labels, repeat=2):
+                out = labelled_fusion(scheme, a, b)
+                size = sum(map(len, out)) if scheme in ("H", "U") else len(out)
+                assert size <= self.size_bound(scheme, a, b), (scheme, a, b)
+
+    @pytest.mark.parametrize(
+        "scheme, left, right",
+        [
+            ("S", 32767, 10**9),
+            ("O", 32767, 32767),
+            ("H", "0" * 200, "1" * 55),
+            ("U", "w" * 128, "b" * 127),
+        ],
+    )
+    def test_answered_up_to_the_cap(self, scheme, left, right):
+        assert self.size_bound(scheme, left, right) <= TABLE_ROWS_CAP
+        assert labelled_fusion(scheme, left, right)
+
+    @pytest.mark.parametrize(
+        "scheme, left, right",
+        [
+            ("S", 32768, 32768),
+            ("B", 10**6, 10**6),
+            ("H", "0" * 200, "1" * 56),
+            ("U", "3000w", "3000b"),
+        ],
+    )
+    def test_refused_past_the_cap(self, scheme, left, right, monkeypatch):
+        # refused before the semiring builds anything
+        def no_tensor(*args):
+            raise AssertionError("the answer was built before the cap")
+
+        monkeypatch.setattr(fusion_module, "semiring_tensor", no_tensor)
+        with pytest.raises(BoundsExceededError, match=str(TABLE_ROWS_CAP)):
+            labelled_fusion(scheme, left, right)
+
+
 class TestSemiring:
     def test_empty_right_operand(self):
         s = z2_semiring()

@@ -82,7 +82,7 @@ def row_signatures_oracle(p, upper, N):
 
 def rank_by_unique(p, N):
     """The rank as the number of codes realized on both rows, by np.unique
-    and np.intersect1d: the oracle of the cached row codes."""
+    and np.intersect1d: the oracle of the closed form N^t."""
     valid_i, code_i = row_signatures_oracle(p, True, N)
     valid_j, code_j = row_signatures_oracle(p, False, N)
     upper_codes = np.unique(code_i[valid_i])
@@ -258,27 +258,33 @@ class TestTMap:
 
 
 class TestCachedRank:
-    def test_matches_oracle_four_per_row(self, monkeypatch):
-        monkeypatch.setattr(mm, "_ROW_CODES", {})
+    def test_matches_oracle_four_per_row(self):
         pool = list(every_diagram(4, 8))
-        for N in (2, 3):
-            want = [rank_by_unique(p, N) for p in pool]
-            for _ in range(2):  # a cold cache, then a warm one
-                assert [t_map_rank(p, N) for p in pool] == want
+        for N in (1, 2, 3, 4):
+            assert [t_map_rank(p, N) for p in pool] == [
+                rank_by_unique(p, N) for p in pool
+            ]
 
     @settings(max_examples=100, deadline=None)
     @given(diagrams_five_per_row(), st.sampled_from((2, 3)))
     def test_matches_oracle_five_per_row(self, p, N):
-        for upper in (True, False):
-            mm._ROW_CODES.pop((N, *mm._row_pattern(p, upper)), None)
-        want = rank_by_unique(p, N)
-        assert t_map_rank(p, N) == want  # cold
-        assert t_map_rank(p, N) == want  # warm
+        assert t_map_rank(p, N) == rank_by_unique(p, N)
+
+    def test_rank_builds_no_signature(self, monkeypatch):
+        # an op budget of zero: the rank is read off the blocks
+        def no_signature(pattern, N):
+            raise AssertionError("t_map_rank built a row signature")
+
+        monkeypatch.setattr(mm, "_row_signature", no_signature)
+        monkeypatch.setattr(mm, "_SIGNATURES", {})
+        for N in (2, 3):
+            for p in every_diagram(7, 7):
+                t_map_rank(p, N)
 
     @pytest.mark.parametrize(
         "fn,cache,max_points",
-        [(t_map_rank, "_ROW_CODES", 7), (t_map, "_SIGNATURES", 5)],
-        ids=["t_map_rank", "t_map"],
+        [(t_map, "_SIGNATURES", 5)],
+        ids=["t_map"],
     )
     def test_signatures_once_per_pattern(self, monkeypatch, fn, cache, max_points):
         calls: Counter = Counter()
@@ -303,6 +309,23 @@ class TestCachedRank:
     def test_t_map_is_int64(self):
         for p in every_diagram(3, 6):
             assert t_map(p, 2).dtype == np.int64
+
+
+class TestColumns:
+    def test_columns_split_valid_assignments(self):
+        # one column per realized code, disjoint, covering every valid
+        # assignment to the lower row
+        for N in (2, 3):
+            for q in every_diagram(4, 8):
+                cols = mm._columns([q], N)
+                assert len(cols) == rank_by_unique(q, N)
+                covered: set = set()
+                for col in cols:
+                    assert col and set(col.values()) == {1}
+                    assert covered.isdisjoint(col)
+                    covered |= col.keys()
+                valid_j, _ = row_signatures_oracle(q, False, N)
+                assert covered == set(np.flatnonzero(valid_j).tolist())
 
 
 class TestFunctor:
@@ -546,9 +569,10 @@ class TestRefusals:
         "call",
         [
             lambda: t_map_rank(identity(7), 4),
+            lambda: t_map_rank(Partition.make(0, 7, [[i] for i in range(7)]), 4),
             lambda: projection_rank(NC, identity(6), 5),
         ],
-        ids=["t_map_rank", "projection_rank"],
+        ids=["t_map_rank", "t_map_rank_lower", "projection_rank"],
     )
     def test_rows_cap(self, call):
         # refused like t_map and projection_matrix, before any work
