@@ -200,7 +200,8 @@ def _diagrams(word: Word) -> Iterator[Partition]:
     blocks: dict[int, list[int]] = {}
     for i, x in enumerate(labels):
         blocks.setdefault(x, []).append(i)
-    p = Partition.make(0, len(labels), blocks.values(), colors)
+    # labels number blocks by first appearance, so these are canonical
+    p = Partition(0, len(labels), tuple(map(tuple, blocks.values())), colors)
     yield p
     for _ in labels:
         p = rotate(p, "ll")
@@ -382,7 +383,7 @@ def is_noncrossing_spec(spec: CategorySpec) -> bool:
 
 def _colorings(p: Partition) -> Iterator[Partition]:
     for colors in product((WHITE, BLACK), repeat=p.n_points):
-        yield Partition.make(p.upper, p.lower, p.blocks, colors)
+        yield Partition(p.upper, p.lower, p.blocks, colors)
 
 
 def enumerate_in(spec: CategorySpec, k: int, l: int) -> list[Partition]:
@@ -398,8 +399,8 @@ def enumerate_in(spec: CategorySpec, k: int, l: int) -> list[Partition]:
             f"enumeration of {k + l} points exceeds the cap {MAX_ENUM_POINTS}"
         )
     out = []
-    for blocks in all_set_partitions(k + l):
-        base = Partition.make(k, l, blocks)
+    for blocks in all_set_partitions(k + l):  # canonical as generated
+        base = Partition(k, l, blocks)
         if spec.colored:
             if spec.builtin == "ucol" and not (
                 is_pair(base) and is_noncrossing(base)
@@ -454,17 +455,16 @@ def _projectives_uncached(spec: CategorySpec, k: int) -> list[Partition]:
     out = []
     for row in all_set_partitions(k):
         # bit i of the mask cuts block i from its mirror; mask 0 comes first,
-        # so an undecidable arity names the diagram enumerate_in names
+        # so an undecidable arity names the diagram enumerate_in names.  The
+        # upper-row blocks, then the cut mirrors, are in canonical order.
+        mirrors = [tuple(x + k for x in b) for b in row]
         for mask in range(1 << len(row)):
-            blocks = []
-            for i, b in enumerate(row):
-                mirrored = tuple(x + k for x in b)
-                if mask >> i & 1:
-                    blocks.extend((b, mirrored))
-                else:
-                    blocks.append(b + mirrored)
+            cut = [mask >> i & 1 for i in range(len(row))]
+            blocks = tuple(
+                b if c else b + m for b, m, c in zip(row, mirrors, cut)
+            ) + tuple(m for m, c in zip(mirrors, cut) if c)
             for colors in colorings:
-                cand = Partition.make(k, k, blocks, colors)
+                cand = Partition(k, k, blocks, colors)
                 if contains(spec, cand):
                     out.append(cand)
     out.sort(key=Partition.sort_key)

@@ -29,6 +29,7 @@ from math import isqrt
 from typing import Optional, Union
 
 from .partition import (
+    _LETTERS,
     GrammarError,
     Partition,
     empty_partition,
@@ -149,6 +150,9 @@ class FusionResult:
 def _check_projective_operands(p: Partition, q: Partition) -> None:
     if not (is_projective(p) and is_projective(q)):
         raise ValueError("fusion needs projective diagrams")
+    n = len(p.blocks) + len(q.blocks)  # no graft has more blocks than p (x) q
+    if n > len(_LETTERS):  # results are sorted by their text
+        raise BoundsExceededError(f"p (x) q has {n} blocks; the grammar has 52 letters")
 
 
 def _dedupe_sorted(grafts) -> list[Partition]:
@@ -466,17 +470,9 @@ def decompose_power(spec: CategorySpec, k: int) -> list[dict]:
 
 def _block_as_partition(p: Partition, block: tuple[int, ...]) -> Partition:
     """A block of a diagram, re-read as a standalone single-block diagram."""
-    k = p.upper
-    ups = [x for x in block if x < k]
-    lows = [x for x in block if x >= k]
-    new_block = tuple(range(len(ups) + len(lows)))
-    colors = None
-    if p.colored:
-        assert p.colors is not None
-        colors = tuple(p.colors[x] for x in ups) + tuple(
-            p.colors[x] for x in lows
-        )
-    return Partition.make(len(ups), len(lows), [new_block], colors)
+    ups = sum(1 for x in block if x < p.upper)
+    colors = None if p.colors is None else tuple(p.colors[x] for x in block)
+    return Partition(ups, len(block) - ups, (tuple(range(len(block))),), colors)
 
 
 def _single_block_projectives(
@@ -523,7 +519,12 @@ def freeness_probe(spec: CategorySpec, max_arity: int = 3) -> dict:
 
     involution_table = {}
     for idx, rep in enumerate(reps):
-        conj = conjugate_colors(rep) if rep.colored else rep
+        # the conjugate letter is the mirror image: each row reversed and its
+        # colors flipped; a letter's one block is its own mirror
+        conj = rep
+        if rep.colors is not None:
+            mirror = rep.upper_colors()[::-1] + rep.lower_colors()[::-1]
+            conj = conjugate_colors(Partition(rep.upper, rep.lower, rep.blocks, mirror))
         involution_table[idx] = letter_of(conj)
     fusion_table = {}
     for i, a in enumerate(reps):

@@ -104,8 +104,10 @@ class Partition:
         colors: ``None`` for an uncolored diagram, else a tuple of 'w'/'b'
                 of length k+l (one entry per point).
 
-    The constructor trusts its arguments to be canonical already; use
-    :meth:`make` to validate and canonicalize raw block data.
+    The constructor trusts its arguments to be canonical already and checks
+    nothing: the library builds with it where blocks are canonical by
+    construction (tuples, never lists).  Block lists handed in by callers
+    go through :meth:`make`, which validates and canonicalizes them.
     """
 
     __slots__ = ("upper", "lower", "blocks", "colors", "_hash", "_ser")
@@ -139,7 +141,8 @@ class Partition:
         blocks: Iterable[Iterable[int]],
         colors: Optional[Sequence[str]] = None,
     ) -> "Partition":
-        """Validate and canonicalize raw block data into a Partition."""
+        """Validate and canonicalize raw block data into a Partition: the
+        entry point for block lists that callers hand in."""
         n = upper + lower
         norm = tuple(sorted(tuple(sorted(set(b))) for b in blocks))
         seen: list[int] = []
@@ -237,16 +240,15 @@ class CompositionResult(NamedTuple):
 
 def empty_partition(colored: bool = False) -> Partition:
     """The diagram with no points at all; unit for the tensor product."""
-    return Partition.make(0, 0, (), colors=() if colored else None)
+    return Partition(0, 0, (), () if colored else None)
 
 
 def identity(k: int, colors: Optional[Sequence[str]] = None) -> Partition:
     """k vertical strands; optional per-strand colors (same on both ends)."""
-    blocks = [(i, k + i) for i in range(k)]
-    col = None
-    if colors is not None:
-        col = tuple(colors) + tuple(colors)
-    return Partition.make(k, k, blocks, col)
+    blocks = tuple((i, k + i) for i in range(k))
+    if colors is None:
+        return Partition(k, k, blocks)
+    return Partition.make(k, k, blocks, tuple(colors) * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +497,7 @@ def conjugate_colors(p: Partition) -> Partition:
     """Flip every point's color; defined for colored diagrams only."""
     if p.colors is None:
         raise ColorError("partition is uncolored")
-    return Partition.make(
-        p.upper, p.lower, p.blocks, tuple(_flip(c) for c in p.colors)
-    )
+    return Partition(p.upper, p.lower, p.blocks, tuple(map(_flip, p.colors)))
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +579,8 @@ def parse_partition(text: str) -> Partition:
                     k + 1 + pos if pos < k else lower_start + l + 1 + pos - k,
                 )
         colors = tuple(upper_colors + lower_colors)
-    return Partition.make(k, l, blocks.values(), colors)
+    # letters come in order of first appearance, so the blocks are canonical
+    return Partition(k, l, tuple(map(tuple, blocks.values())), colors)
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +612,8 @@ def all_set_partitions(n: int):
 
 
 def random_partition(rng, k: int, l: int, colored: bool = False) -> Partition:
-    """A random diagram in P(k, l); block count follows a CRP-style draw."""
+    """A random diagram in P(k, l); block count follows a CRP-style draw,
+    which opens the blocks in order of their smallest point."""
     n = k + l
     if n == 0:
         return empty_partition(colored)
@@ -625,4 +627,4 @@ def random_partition(rng, k: int, l: int, colored: bool = False) -> Partition:
     colors = None
     if colored:
         colors = tuple(rng.choice((WHITE, BLACK)) for _ in range(n))
-    return Partition.make(k, l, blocks, colors)
+    return Partition(k, l, tuple(map(tuple, blocks)), colors)

@@ -173,7 +173,7 @@ def upper_building(p: Partition) -> Partition:
     blocks = []
     t = 0
     # canonical order puts the blocks meeting the upper row first, by their
-    # smallest upper point
+    # smallest upper point; pinning keeps that order, so s is canonical
     for b in p.blocks:
         if b[0] >= k:
             break
@@ -182,7 +182,7 @@ def upper_building(p: Partition) -> Partition:
             t += 1
         blocks.append(b)
     colors = None if p.colors is None else p.colors[:k] + (WHITE,) * t
-    return Partition.make(k, t, blocks, colors)
+    return Partition(k, t, tuple(blocks), colors)
 
 
 def _through_blocks(p: Partition) -> list[tuple[int, ...]]:
@@ -291,9 +291,8 @@ def to_through_partition(sigma: Permutation, colored: bool = False) -> Partition
     m = len(sigma)
     if sorted(sigma) != list(range(m)):
         raise ValueError(f"not a permutation of 0..{m - 1}: {sigma}")
-    blocks = [(i, m + sigma[i]) for i in range(m)]
-    colors = (WHITE,) * (2 * m) if colored else None
-    return Partition.make(m, m, blocks, colors)
+    blocks = tuple((i, m + sigma[i]) for i in range(m))
+    return Partition(m, m, blocks, (WHITE,) * (2 * m) if colored else None)
 
 
 def _sigmas(spec: CategorySpec, t: int) -> Iterable[Permutation]:
@@ -428,7 +427,8 @@ def _mixing_from_pairs(
         else:
             blocks.append((a, b))
             blocks.append((n + a, n + b))
-    return MixingPartition(k, l, Partition.make(n, n, blocks))
+    blocks.sort()  # each block ascends; order them by smallest point
+    return MixingPartition(k, l, Partition(n, n, tuple(blocks)))
 
 
 def enumerate_mixing(k: int, l: int) -> list[MixingPartition]:
@@ -497,7 +497,7 @@ def _graft(
     for h in mixings:
         hp = h.partition
         if p.colored and not hp.colored:
-            hp = Partition.make(hp.upper, hp.lower, hp.blocks, white)
+            hp = Partition(hp.upper, hp.lower, hp.blocks, white)
         out.append(compose_chain(top, hp, mid))
     return out
 

@@ -53,7 +53,7 @@ def _partitions_up_to(max_points: int):
     for n in range(max_points + 1):
         for blocks in all_set_partitions(n):
             for k in range(n + 1):
-                yield Partition.make(k, n - k, blocks)
+                yield Partition(k, n - k, blocks)  # canonical as generated
 
 
 def suite_functor(

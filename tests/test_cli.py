@@ -117,6 +117,14 @@ class TestFuse:
         argv = ["fuse", "--category", category, "--left", left, "--right", right]
         assert run_error(capsys, argv) == EXIT_BOUNDS
 
+    def test_letter_grammar_bound(self, capsys):
+        # a graft of 52 strands and one has 53 blocks, past the 52 letters
+        # its sort key needs: exit 3, where 51 strands are still answered
+        argv = ["fuse", "--category", "nc", "--right", "a:a", "--left"]
+        code, doc = run_json(capsys, argv + ["51"])
+        assert code == EXIT_OK and doc["result"] == [50, 51, 52]
+        assert run_error(capsys, argv + ["52"]) == EXIT_BOUNDS
+
     def test_mixing_cap_exit(self, capsys):
         # two 6-strand identities in p would need 291,793 mixing diagrams
         six = "abcdef:abcdef"

@@ -87,6 +87,15 @@ class TestCandidates:
 
 
 class TestFusionSets:
+    def test_refuses_past_the_letter_grammar(self):
+        # p (x) q of 53 blocks: results are sorted by their text, which
+        # names at most 52 blocks
+        p, q = identity(26), identity(27)
+        for call in (lambda: fusion(NC, p, q), lambda: fusion_candidates(p, q)):
+            with pytest.raises(BoundsExceededError, match="53 blocks"):
+                call()
+        assert fusion(NC, identity(25), q).t_values == list(range(2, 53))
+
     def test_loop_family_through_values(self):
         res = fusion(NC, identity(1), identity(1))
         assert res.t_values == [0, 1, 2]
@@ -216,7 +225,8 @@ class TestNestedPath:
         res = fusion(P2, identity(5), identity(5))
         assert res.members
         assert calls == {"upper_building": 2, "through_block_decomposition": 0}
-        # and each building diagram is one Partition.make
+        # and no building diagram goes through Partition.make: its blocks
+        # are canonical by construction
         p = parse_partition("abcb:cdae")
         made = []
         real_make = Partition.make
@@ -227,7 +237,7 @@ class TestNestedPath:
 
         monkeypatch.setattr(Partition, "make", staticmethod(counting_make))
         structure.upper_building(p)
-        assert len(made) == 1
+        assert made == []
 
 
 class TestLabelledFusion:
@@ -560,6 +570,18 @@ class TestFreenessProbe:
         assert report["involution"] == {0: 1, 1: 0}
         assert all(v is None for v in report["fusion"].values())
         assert report["labels_injective"]
+
+    def test_conjugate_letter_is_the_mirror_image(self):
+        # the conjugate of a colored letter reverses each row and flips its
+        # colors: aa@bw:aa@bw is its own conjugate, not aa@wb:aa@wb
+        gen = CategorySpec(
+            generators=(parse_partition("@:aaaa@wbwb"),), max_points=8
+        )
+        report = freeness_probe(gen, max_arity=2)
+        assert report["letters"] == [
+            "a@b:a@b", "a@w:a@w", "aa@bw:aa@bw", "aa@wb:aa@wb"
+        ]
+        assert report["involution"] == {0: 1, 1: 0, 2: 2, 3: 3}
 
     def test_loop_category_single_fusing_letter(self):
         report = freeness_probe(NC, max_arity=3)

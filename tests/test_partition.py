@@ -29,6 +29,18 @@ from particat.partition import (
     tensor,
     _flip,
 )
+from particat import structure
+from particat.categories import (
+    CategorySpec,
+    _colorings,
+    _diagrams,
+    _projectives_uncached,
+    _word,
+    enumerate_in,
+)
+from particat.fusion import _block_as_partition
+from particat.structure import to_through_partition, upper_building
+from particat.verify import _partitions_up_to
 
 P1 = parse_partition("aab:accc")  # three blocks, one through
 P2_CROSSING = Partition.make(2, 2, [(0, 3), (1, 2)])
@@ -465,3 +477,152 @@ class TestColors:
     def test_uncolored_rejected(self):
         with pytest.raises(ColorError):
             conjugate_colors(identity(1))
+
+
+# ---------------------------------------------------------------------------
+# trusted construction: sites that build Partition directly, against make
+
+
+def assert_canonical(p: Partition) -> None:
+    """p is what Partition.make builds from its own data, with tuple blocks
+    (a list would compare unequal to make's tuples and break hashing)."""
+    made = Partition.make(p.upper, p.lower, p.blocks, p.colors)
+    assert made == p and hash(made) == hash(p)
+    assert type(p.blocks) is tuple
+    assert all(type(b) is tuple for b in p.blocks)
+
+
+@st.composite
+def diagram_texts(draw, max_row=4):
+    """Letter-grammar text with arbitrary letters, optionally colored, and
+    the raw blocks and colors it names."""
+    k = draw(st.integers(0, max_row))
+    l = draw(st.integers(0, max_row))
+    letters = draw(st.lists(st.sampled_from("xbQaZ"), min_size=k + l, max_size=k + l))
+    raw: dict[str, list[int]] = {}
+    for x, ch in enumerate(letters):
+        raw.setdefault(ch, []).append(x)
+    upper, lower = "".join(letters[:k]), "".join(letters[k:])
+    colors = None
+    if draw(st.booleans()):
+        colors = draw(st.lists(st.sampled_from("wb"), min_size=k + l, max_size=k + l))
+        upper += "@" + "".join(colors[:k])
+        lower += "@" + "".join(colors[k:])
+    return f"{upper}:{lower}", k, l, list(raw.values()), colors
+
+
+class TestTrustedConstruction:
+    """Every library site that skips Partition.make builds what make would."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(diagram_texts())
+    def test_parse(self, case):
+        text, k, l, raw, colors = case
+        p = parse_partition(text)
+        assert p == Partition.make(k, l, raw, colors)
+        assert_canonical(p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 5), st.integers(0, 5), st.booleans())
+    def test_random_partition(self, seed, k, l, colored):
+        assert_canonical(random_partition(random.Random(seed), k, l, colored))
+
+    def test_empty_and_identity(self):
+        for colored in (False, True):
+            assert_canonical(empty_partition(colored))
+        for k in range(6):
+            assert_canonical(identity(k))
+            assert identity(k) == Partition.make(k, k, [(i, k + i) for i in range(k)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(colored_partitions())
+    def test_conjugate_colors(self, p):
+        assert_canonical(conjugate_colors(p))
+
+    @settings(max_examples=60, deadline=None)
+    @given(colored_partitions(max_row=3), st.booleans())
+    def test_closure_diagrams_and_colorings(self, p, colored):
+        if not colored:
+            p = Partition.make(p.upper, p.lower, p.blocks)
+        diagrams = list(_diagrams(_word(p)))
+        assert p in diagrams
+        for q in diagrams:
+            assert_canonical(q)
+        for q in _colorings(Partition.make(p.upper, p.lower, p.blocks)):
+            assert_canonical(q)
+
+    @pytest.mark.parametrize(
+        "name", ["p", "p2", "nc", "nc2", "ncb", "nceven", "ucol"]
+    )
+    def test_enumerate_in_and_projectives(self, name):
+        spec = CategorySpec.named(name)
+        for n in range(6):
+            for k in range(n + 1):
+                for q in enumerate_in(spec, k, n - k):
+                    assert_canonical(q)
+        for k in range(4):
+            for q in _projectives_uncached(spec, k):
+                assert_canonical(q)
+
+    def test_verify_partitions(self):
+        for q in _partitions_up_to(5):
+            assert_canonical(q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(colored_partitions(), st.booleans())
+    def test_building_and_blocks(self, p, colored):
+        if not colored:
+            p = Partition.make(p.upper, p.lower, p.blocks)
+        assert_canonical(upper_building(p))
+        for b in p.blocks:
+            ups = [x for x in b if x < p.upper]
+            colors = None if p.colors is None else [p.colors[x] for x in b]
+            single = _block_as_partition(p, b)
+            raw = [range(len(b))]
+            assert single == Partition.make(len(ups), len(b) - len(ups), raw, colors)
+            assert_canonical(single)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.permutations(range(5)).flatmap(
+        lambda s: st.integers(0, 5).map(lambda m: tuple(x for x in s if x < m))
+    ), st.booleans())
+    def test_through_partition(self, sigma, colored):
+        assert_canonical(to_through_partition(sigma, colored))
+
+    def test_mixings_and_white_lift(self, monkeypatch):
+        for k in range(4):
+            for l in range(4):
+                mixings = structure.enumerate_mixing(k, l)
+                for h in mixings + structure._nested_mixings(k, l):
+                    assert_canonical(h.partition)
+        middles = []
+        real = structure.compose_chain
+
+        def recording(*parts):
+            middles.append(parts[1])
+            return real(*parts)
+
+        monkeypatch.setattr(structure, "compose_chain", recording)
+        p = parse_partition("ab@wb:ab@wb")
+        q = parse_partition("aab@bwb:aab@bwb")
+        structure._graft(p, q, structure.enumerate_mixing(2, 2))
+        assert len(middles) == len(structure.enumerate_mixing(2, 2))
+        for hp in middles:
+            assert hp.colors == ("w",) * hp.n_points
+            assert_canonical(hp)
+
+    def test_parse_and_enumerate_skip_make(self, monkeypatch):
+        # op budget: the parser and enumerate_in build every diagram directly
+        made = []
+        real_make = Partition.make
+
+        def counting_make(*args):
+            made.append(args)
+            return real_make(*args)
+
+        monkeypatch.setattr(Partition, "make", staticmethod(counting_make))
+        parse_partition("aab:accc")
+        parse_partition("ab@wb:ba@bw")
+        assert enumerate_in(CategorySpec.named("nc"), 2, 3)
+        assert enumerate_in(CategorySpec.named("ucol"), 2, 2)
+        assert made == []
