@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import comb
 from typing import Iterable, Iterator, Optional
 
 from .partition import (
@@ -70,6 +71,7 @@ __all__ = [
     "category_from_name",
     "DEFAULT_MAX_POINTS",
     "MAX_ENUM_POINTS",
+    "PROJECTIVES_CAP",
     "CLOSURE_CAP",
 ]
 
@@ -77,6 +79,8 @@ BUILTIN_IDS = ("p", "p2", "nc", "nc2", "ncb", "nceven", "ucol")
 
 DEFAULT_MAX_POINTS = 10
 MAX_ENUM_POINTS = 10
+PROJECTIVES_CAP = 200_000
+"""Most candidates :func:`projectives` may generate at one arity."""
 
 
 class BoundsExceededError(RuntimeError):
@@ -428,7 +432,9 @@ def projectives(spec: CategorySpec, k: int) -> list[Partition]:
     c + c.  Every such candidate is generated and kept when the category
     contains it.  Categories other than the noncrossing built-ins are
     refused beyond :data:`MAX_ENUM_POINTS` points, as :func:`enumerate_in`
-    refuses them.  Results are cached per (category, arity).
+    refuses them, and every category past :data:`PROJECTIVES_CAP`
+    candidates, before any is built.  Results are cached per (category,
+    arity).
     """
     if k < 0:
         raise ArityError(f"the arity must be nonnegative, got {k}")
@@ -447,6 +453,18 @@ def _projectives_uncached(spec: CategorySpec, k: int) -> list[Partition]:
     ):
         raise BoundsExceededError(
             f"enumeration of {2 * k} points exceeds the cap {MAX_ENUM_POINTS}"
+        )
+    # sum_j S(n, j) 2^j candidates at arity n (a row partition, a subset of
+    # its blocks cut; Touchard's recurrence), times 2^n colorings
+    count, touchard = 1, [1]
+    for n in range(k):
+        if count > PROJECTIVES_CAP:
+            break
+        touchard.append(2 * sum(comb(n, i) * t for i, t in enumerate(touchard)))
+        count = touchard[-1] << (n + 1 if spec.colored else 0)
+    if count > PROJECTIVES_CAP:
+        raise BoundsExceededError(
+            f"projectives at arity {k} pass the cap of {PROJECTIVES_CAP} candidates"
         )
     if spec.colored:
         colorings = [c + c for c in product((WHITE, BLACK), repeat=k)]

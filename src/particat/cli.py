@@ -112,25 +112,21 @@ def _cmd_sym(args, spec: CategorySpec | None) -> dict:
 
 
 def _cmd_decompose(args, spec: CategorySpec | None) -> dict:
-    records = decompose_power(spec, args.power)
-    ranks = {}
-    if args.N is not None:
-        for rec in class_projection(spec, args.power, args.N):
-            ranks[rec["representative"]] = rec
-    rows = []
-    for rec in records:
-        row = {
+    if args.N is None:
+        records = decompose_power(spec, args.power)
+    else:
+        records = class_projection(spec, args.power, args.N)
+    ranks = ("rank_class", "rank_rep", "multiplicity")
+    rows = [
+        {
             "representative": serialize(rec["representative"]),
             "label": rec["label"].render(),
             "t": rec["t"],
             "class_size": len(rec["members"]),
+            **{key: rec[key] for key in ranks if key in rec},
         }
-        if rec["representative"] in ranks:
-            mrec = ranks[rec["representative"]]
-            row["rank_class"] = mrec["rank_class"]
-            row["rank_rep"] = mrec["rank_rep"]
-            row["multiplicity"] = mrec["multiplicity"]
-        rows.append(row)
+        for rec in records
+    ]
     return {"result": rows, "checks": len(rows)}
 
 

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import groupby, islice, product
-from math import isqrt
+from itertools import groupby, product
 from typing import Optional, Union
 
 from .partition import (
@@ -34,6 +33,7 @@ from .partition import (
     Partition,
     empty_partition,
     identity,
+    involution,
     is_projective,
     parse_partition,
     serialize,
@@ -46,12 +46,13 @@ from .structure import (
     _dominated_members,
     _dominates,
     _equivalence_classes,
+    _equivalent,
     _graft,
     _nested_mixings,
     _through_blocks,
     boxvert,
     enumerate_mixing,
-    equivalent,
+    upper_building,
     word_h,
     word_u,
 )
@@ -79,8 +80,6 @@ __all__ = [
     "semiring_tensor",
     "z2_semiring",
     "alternating_semiring",
-    "single_loop_semiring",
-    "single_arc_semiring",
     "freeness_probe",
     "LABELLED_IDS",
 ]
@@ -94,9 +93,9 @@ LABELLED_IDS = {
 }
 
 TABLE_ROWS_CAP = 65_536
-"""Most rows of a fusion table, one per pair of labels (:func:`labels_up_to`
-refuses m > 255 for numbers, m > 7 for words), and most entries of one label
-fusion, in letters for words (:func:`labelled_fusion`)."""
+"""Most entries of one label fusion, in letters for words
+(:func:`labelled_fusion`), and of a whole fusion table, summed over its rows
+(:func:`labels_up_to`)."""
 
 
 @dataclass(frozen=True)
@@ -314,10 +313,21 @@ def label_to_partition(scheme: Optional[str], label: Union[int, str]) -> Partiti
     return identity(value)
 
 
+def _answer_bound(k: Union[int, str], l: Union[int, str]) -> int:
+    """Most entries of the fusion of two label values: 2 min(k, l) + 1
+    labels, or (|k| + |l| + 1)^2 letters for words (min(|k|, |l|) + 1 cuts
+    or fewer, each giving two words of at most |k| + |l| letters)."""
+    if isinstance(k, str):
+        return (len(k) + len(l) + 1) ** 2
+    return 2 * min(k, l) + 1
+
+
 def labels_up_to(scheme: str, m: int) -> list[Union[int, str]]:
     """The labels of size at most m in table order: 0..m for S, O and B;
-    words over 0/1 (H) or w/b (U) by length, then letter order.  Builds at
-    most the labels that :data:`TABLE_ROWS_CAP` admits, then refuses."""
+    words over 0/1 (H) or w/b (U) by length, then letter order.  Builds
+    at most the labels that :data:`TABLE_ROWS_CAP` admits, then refuses: the
+    bound of :func:`labelled_fusion`, summed over the pairs of labels, caps
+    the entries of the whole table."""
     if scheme in ("S", "O", "B"):
         labels = range(m + 1)
     elif scheme in ("H", "U"):
@@ -325,11 +335,16 @@ def labels_up_to(scheme: str, m: int) -> list[Union[int, str]]:
         labels = ("".join(w) for n in range(m + 1) for w in product(letters, repeat=n))
     else:
         raise ValueError(f"unknown label scheme {scheme!r}")
-    out = list(islice(labels, isqrt(TABLE_ROWS_CAP) + 1))
-    if len(out) ** 2 > TABLE_ROWS_CAP:
-        raise BoundsExceededError(
-            f"a fusion table up to label size {m} passes {TABLE_ROWS_CAP} rows"
-        )
+    out, entries = [], 0
+    for a in labels:
+        # the new pairs: (a, a), and (a, b) and (b, a) for every b before a
+        entries += _answer_bound(a, a) + 2 * sum(_answer_bound(a, b) for b in out)
+        if entries > TABLE_ROWS_CAP:
+            raise BoundsExceededError(
+                f"a fusion table up to label size {m} may pass "
+                f"{TABLE_ROWS_CAP} entries"
+            )
+        out.append(a)
     return out
 
 
@@ -394,16 +409,6 @@ def alternating_semiring() -> FreeFusionSemiring:
     return FreeFusionSemiring(((WHITE, BLACK), (BLACK, WHITE)), ())
 
 
-def single_loop_semiring() -> FreeFusionSemiring:
-    """One self-conjugate letter that fuses with itself (scheme S)."""
-    return FreeFusionSemiring((("a", "a"),), ((("a", "a"), "a"),))
-
-
-def single_arc_semiring() -> FreeFusionSemiring:
-    """One self-conjugate letter without fusion (schemes O and B)."""
-    return FreeFusionSemiring((("a", "a"),), ())
-
-
 # ---------------------------------------------------------------------------
 # labelled fusion in closed form
 
@@ -418,16 +423,13 @@ def labelled_fusion(
     of two.  H: the Z2-word semiring.  U: the alternating-word semiring.
 
     Raises :class:`~particat.categories.BoundsExceededError`, building
-    nothing, when the answer may pass :data:`TABLE_ROWS_CAP`: 2 min(k, l) + 1
-    labels, or (|a| + |b| + 1)^2 letters for words (min(|a|, |b|) + 1 cuts or
-    fewer, each giving two words of at most |a| + |b| letters).
+    nothing, when the answer may pass :data:`TABLE_ROWS_CAP` entries.
     """
     k, l = _label_value(scheme, left), _label_value(scheme, right)
     words = scheme in ("H", "U")
     if not words and (k < 0 or l < 0):
         raise ValueError("labels are nonnegative")
-    size = (len(k) + len(l) + 1) ** 2 if words else 2 * min(k, l) + 1
-    if size > TABLE_ROWS_CAP:
+    if _answer_bound(k, l) > TABLE_ROWS_CAP:
         raise BoundsExceededError(f"label fusion may pass {TABLE_ROWS_CAP} entries")
     if words:
         semiring = z2_semiring() if scheme == "H" else alternating_semiring()
@@ -440,27 +442,24 @@ def labelled_fusion(
 
 
 def decompose_power(spec: CategorySpec, k: int) -> list[dict]:
-    """Equivalence classes of the projective members at arity k.
+    """Equivalence classes of the projective members at arity k; the one
+    routine that groups an arity's projectives.
 
-    Each record carries the canonical representative (minimal
-    serialization), all members, the through-block count, and the class
-    label in the category's scheme.
+    Each record carries the canonical representative (the class's first
+    member, as :func:`~particat.categories.projectives` is sorted by
+    ``Partition.sort_key``), all members in that order, the through-block
+    count, and the class label in the category's scheme.
     """
-    records = []
-    for cls in _equivalence_classes(spec, projectives(spec, k)):
-        cls_sorted = sorted(cls, key=Partition.sort_key)
-        rep = cls_sorted[0]
-        records.append(
-            {
-                "representative": rep,
-                "members": cls_sorted,
-                "t": stats(rep).t,
-                "label": label_for(spec, rep),
-            }
-        )
-    records.sort(
-        key=lambda rec: (rec["t"], rec["label"].sort_token())
-    )
+    records = [
+        {
+            "representative": cls[0],
+            "members": cls,
+            "t": stats(cls[0]).t,
+            "label": label_for(spec, cls[0]),
+        }
+        for cls in _equivalence_classes(spec, projectives(spec, k))
+    ]
+    records.sort(key=lambda rec: (rec["t"], rec["label"].sort_token()))
     return records
 
 
@@ -473,17 +472,6 @@ def _block_as_partition(p: Partition, block: tuple[int, ...]) -> Partition:
     ups = sum(1 for x in block if x < p.upper)
     colors = None if p.colors is None else tuple(p.colors[x] for x in block)
     return Partition(ups, len(block) - ups, (tuple(range(len(block))),), colors)
-
-
-def _single_block_projectives(
-    spec: CategorySpec, max_arity: int
-) -> list[Partition]:
-    out = []
-    for k in range(1, max_arity + 1):
-        for p in projectives(spec, k):
-            if len(p.blocks) == 1:
-                out.append(p)
-    return out
 
 
 def freeness_probe(spec: CategorySpec, max_arity: int = 3) -> dict:
@@ -506,14 +494,19 @@ def freeness_probe(spec: CategorySpec, max_arity: int = 3) -> dict:
                     if not contains(spec, _block_as_partition(p, b)):
                         block_stable = False
 
-    letter_classes = _equivalence_classes(
-        spec, _single_block_projectives(spec, max_arity)
-    )
-    reps = [sorted(c, key=Partition.sort_key)[0] for c in letter_classes]
+    single_blocks = [
+        p
+        for k in range(1, max_arity + 1)
+        for p in projectives(spec, k)
+        if len(p.blocks) == 1
+    ]
+    reps = [cls[0] for cls in _equivalence_classes(spec, single_blocks)]
+    heads = [upper_building(rep) for rep in reps]  # as _equivalence_classes
 
     def letter_of(p: Partition) -> Optional[int]:
-        for idx, rep in enumerate(reps):
-            if equivalent(spec, rep, p):
+        pu_star = involution(upper_building(p))
+        for idx, head in enumerate(heads):
+            if _equivalent(spec, head, pu_star):
                 return idx
         return None
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional
 
 import numpy as np
 
@@ -32,13 +31,9 @@ from .partition import (
     stats,
     tensor,
 )
-from .structure import (
-    _dominated_members,
-    _equivalence_classes,
-    p_sigma,
-    sym_group,
-)
+from .structure import _dominated_members, p_sigma, sym_group
 from .categories import CategorySpec, contains, enumerate_in, projectives
+from .fusion import decompose_power
 
 __all__ = [
     "BrauerElement",
@@ -54,7 +49,6 @@ __all__ = [
     "psi_check",
     "brauer_element",
     "brauer_product",
-    "brauer_involution",
     "brauer_kernel_dim",
 ]
 
@@ -332,33 +326,21 @@ def class_projection(spec: CategorySpec, k: int, N: int) -> list[dict]:
     """Per equivalence class: the rank of the projection onto the joint
     image of the member projections, and the resulting multiplicity.
 
-    Returns one record per class with the canonical representative (minimal
-    serialization), the class size, rank of the class projection, rank of
-    the representative's projection, and their quotient when integral.
+    The records are those of :func:`~particat.fusion.decompose_power`, in
+    its order, each with three fields added: the rank of the class
+    projection, the rank of the representative's projection, and their
+    quotient when integral (else None).  Every member passes the caps
+    before any basis is built.
     """
-    members = projectives(spec, k)
-    below = {q: _check_caps(spec, q, N) for q in members}
-    records = []
-    for cls in _equivalence_classes(spec, members):
-        cls_sorted = sorted(cls, key=Partition.sort_key)
-        rep = cls_sorted[0]
-        bases = [_image_basis(q, below[q], N) for q in cls_sorted]
-        basis = linalg.orthogonal_basis(u for b in bases for u, _ in b)
-        rank_class, rank_rep = len(basis), len(bases[0])
-        mult: Optional[int] = None
-        if rank_rep and rank_class % rank_rep == 0:
-            mult = rank_class // rank_rep
-        records.append(
-            {
-                "representative": rep,
-                "members": cls_sorted,
-                "t": stats(rep).t,
-                "rank_class": rank_class,
-                "rank_rep": rank_rep,
-                "multiplicity": mult,
-            }
-        )
-    records.sort(key=lambda rec: (rec["t"], serialize(rec["representative"])))
+    below = {q: _check_caps(spec, q, N) for q in projectives(spec, k)}
+    records = decompose_power(spec, k)
+    for rec in records:
+        bases = [_image_basis(q, below[q], N) for q in rec["members"]]
+        rank_class = len(linalg.orthogonal_basis(u for b in bases for u, _ in b))
+        rank_rep = len(bases[0])
+        divides = rank_rep and rank_class % rank_rep == 0
+        rec["rank_class"], rec["rank_rep"] = rank_class, rank_rep
+        rec["multiplicity"] = rank_class // rank_rep if divides else None
     return records
 
 
@@ -460,12 +442,6 @@ def brauer_product(
             coeff = ca * cb * Fraction(1, N**loops)
             acc[ab] = acc.get(ab, Fraction(0)) + coeff
     return BrauerElement.from_dict(x.arity, acc)
-
-
-def brauer_involution(x: BrauerElement) -> BrauerElement:
-    return BrauerElement.from_dict(
-        x.arity, {involution(p): c for p, c in x.terms}
-    )
 
 
 def brauer_kernel_dim(spec: CategorySpec, k: int, N: int) -> int:

@@ -53,8 +53,6 @@ __all__ = [
     "is_pair",
     "all_blocks_even",
     "blocks_at_most_two",
-    "is_symmetric",
-    "is_idempotent",
     "is_projective",
     "identity",
     "parse_partition",

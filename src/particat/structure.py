@@ -57,10 +57,7 @@ __all__ = [
     "MixingPartition",
     "Permutation",
     "through_block_decomposition",
-    "projective_from",
     "dominates",
-    "strictly_dominates",
-    "to_through_partition",
     "p_sigma",
     "sym_group",
     "equivalent",
@@ -73,7 +70,6 @@ __all__ = [
     "is_building",
     "is_through",
     "upper_building",
-    "compose_chain",
     "SYM_SEARCH_CAP",
     "MIXING_CAP",
 ]
@@ -207,11 +203,6 @@ def through_block_decomposition(p: Partition) -> ThroughBlockDecomposition:
     )
 
 
-def projective_from(q: Partition) -> Partition:
-    """q* q, the canonical projective diagram attached to any q."""
-    return compose(involution(q), q).partition
-
-
 # ---------------------------------------------------------------------------
 # domination order
 
@@ -276,10 +267,6 @@ def _dominated_members(spec: CategorySpec, p: Partition) -> list[Partition]:
         word = p.upper_colors()
         pool = [q for q in pool if q.upper_colors() == word]
     return [q for q in pool if q != p and _dominates(p, q)]
-
-
-def strictly_dominates(p: Partition, q: Partition) -> bool:
-    return p != q and dominates(p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +375,10 @@ def _equivalence_classes(
 ) -> list[list[Partition]]:
     """Projective members grouped by :func:`equivalent`, each compared with
     the first member of every class so far; classes and their members keep
-    the order of first appearance."""
+    the order of first appearance.  So a pool sorted by
+    :meth:`~particat.partition.Partition.sort_key`, as
+    :func:`~particat.categories.projectives` returns it, puts each class's
+    canonical representative first."""
     classes: list[list[Partition]] = []
     heads: list[Partition] = []  # upper building of each class's first member
     for p in members:

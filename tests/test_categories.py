@@ -362,6 +362,24 @@ class TestProjectives:
             projectives(gen, 6)
         assert len(projectives(NCB, 6)) == 267
 
+    @pytest.mark.parametrize(
+        "name, k, refused",
+        [("nc", 8, False), ("nc", 9, True), ("nceven", 9, True),
+         ("ucol", 6, False), ("ucol", 7, True), ("nc", 10**9, True)],
+    )
+    def test_candidate_cap(self, name, k, refused, monkeypatch):
+        # the sum_j S(k, j) 2^j candidates (times 2^k colorings) are counted
+        # before any row partition is enumerated: 89,918 for nc at k = 8,
+        # 610,182 at k = 9; 155,520 for ucol at k = 6, 1,819,392 at k = 7
+        monkeypatch.setattr(categories, "_PROJECTIVES_CACHE", {})
+        monkeypatch.setattr(categories, "all_set_partitions", lambda n: [])
+        spec = CategorySpec.named(name)
+        if refused:
+            with pytest.raises(BoundsExceededError, match="candidates"):
+                projectives(spec, k)
+        else:
+            assert projectives(spec, k) == []
+
 
 class TestRegistry:
     def test_builtin_names(self):

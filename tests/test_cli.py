@@ -2,11 +2,12 @@
 
 import json
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
-from particat import cli
+from particat import cli, structure
 from particat.cli import (
     EXIT_BOUNDS,
     EXIT_OK,
@@ -227,6 +228,30 @@ class TestDecompose:
         argv = ["decompose", "--category", "nc", "--power", "5", "--N", "5"]
         assert run_error(capsys, argv) == EXIT_PARSE
 
+    @pytest.mark.parametrize("category, power", [("nc", 9), ("ucol", 7)])
+    def test_projectives_cap_exit(self, capsys, category, power):
+        # 610,182 and 1,819,392 candidates, past PROJECTIVES_CAP
+        argv = ["decompose", "--category", category, "--power", str(power)]
+        assert run_error(capsys, argv) == EXIT_BOUNDS
+
+    def test_classes_formed_once(self, capsys, monkeypatch):
+        # the labels and the ranks are read off one grouping of the
+        # projectives, wherever the grouping routine is bound
+        real = structure._equivalence_classes
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "_equivalence_classes", None) is real:
+                monkeypatch.setattr(module, "_equivalence_classes", counting)
+        argv = ["decompose", "--category", "nc", "--power", "3", "--N", "2"]
+        code, doc = run_json(capsys, argv)
+        assert code == EXIT_OK and len(doc["result"]) == 4
+        assert len(calls) == 1
+
 
 class TestVerify:
     def test_functor_suite(self, capsys):
@@ -290,10 +315,12 @@ class TestTable:
         assert rows[(2, 2)] == [0, 2, 4]
 
     @pytest.mark.parametrize(
-        "category, max_label", [("ucol", 8), ("nceven", 8), ("nc", 256)]
+        "category, max_label",
+        [("ucol", 8), ("nceven", 8), ("nc", 256), ("nc", 46), ("nceven", 5)],
     )
     def test_row_cap_exit(self, capsys, category, max_label):
-        # 511 words make 261,121 rows; 257 numbers make 66,049
+        # 511 words make 261,121 rows; 257 numbers make 66,049; the answers
+        # of 47 numbers may hold 69,231 entries, of 63 words 346,509
         argv = ["table", "--category", category, "--max-label", str(max_label)]
         assert run_error(capsys, argv) == EXIT_BOUNDS
 

@@ -1,5 +1,6 @@
 """Fusion sets, labels, free fusion semirings, freeness evidence."""
 
+import sys
 from itertools import product
 
 import pytest
@@ -27,6 +28,7 @@ from particat.categories import (
 )
 from particat.fusion import (
     TABLE_ROWS_CAP,
+    FreeFusionSemiring,
     alternating_semiring,
     decompose_power,
     freeness_probe,
@@ -39,8 +41,6 @@ from particat.fusion import (
     labels_up_to,
     runs_decode,
     semiring_tensor,
-    single_arc_semiring,
-    single_loop_semiring,
     z2_semiring,
 )
 from particat.matrix_model import projection_rank
@@ -52,6 +52,16 @@ NCEVEN = CategorySpec.named("nceven")
 UCOL = CategorySpec.named("ucol")
 FOURBLOCK = parse_partition("aa:aa")
 P2 = CategorySpec.named("p2")
+
+
+def single_loop_semiring():
+    """One self-conjugate letter that fuses with itself (scheme S)."""
+    return FreeFusionSemiring((("a", "a"),), ((("a", "a"), "a"),))
+
+
+def single_arc_semiring():
+    """One self-conjugate letter without fusion (schemes O and B)."""
+    return FreeFusionSemiring((("a", "a"),), ())
 
 
 def z2_words(max_len):
@@ -515,8 +525,18 @@ class TestLabelsUpTo:
         assert labels_up_to("S", -1) == labels_up_to("H", -1) == []
 
     def test_largest_tables_under_the_cap(self):
-        assert len(labels_up_to("S", 255)) ** 2 == TABLE_ROWS_CAP
-        assert len(labels_up_to("U", 7)) == 255
+        # the answer bounds of labelled_fusion, summed over the label pairs
+        edges = [("S", 45, 64_906), ("O", 45, 64_906), ("H", 4, 53_773), ("U", 4, 53_773)]
+        for scheme, m, entries in edges:
+            labels = labels_up_to(scheme, m)
+            bound = sum(
+                (len(a) + len(b) + 1) ** 2 if scheme in "HU" else 2 * min(a, b) + 1
+                for a in labels
+                for b in labels
+            )
+            assert bound == entries <= TABLE_ROWS_CAP
+            with pytest.raises(BoundsExceededError):
+                labels_up_to(scheme, m + 1)
 
     @pytest.mark.parametrize(
         "scheme, m", [("S", 256), ("O", 10**30), ("H", 8), ("U", 10**6)]
@@ -589,6 +609,22 @@ class TestFreenessProbe:
         assert len(report["letters"]) == 1
         assert report["fusion"]["0,0"] == 0
         assert report["labels_injective"]
+
+    def test_no_projectivity_rechecks(self, monkeypatch):
+        # letters and class representatives are projective by construction,
+        # so matching them runs no is_projective, wherever it is bound
+        real = structure.is_projective
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return real(p)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "is_projective", None) is real:
+                monkeypatch.setattr(module, "is_projective", counting)
+        assert freeness_probe(NC, 3)["letters_complete"]
+        assert calls == []
 
 
 class TestDimensionMultiplicativity:

@@ -25,7 +25,6 @@ from particat.partition import (
 from particat.structure import (
     _dominates,
     is_building,
-    projective_from,
     through_block_decomposition,
     upper_building,
 )
@@ -76,6 +75,11 @@ def chains(draw):
 
 
 any_partition = st.booleans().flatmap(partitions)
+
+
+def projective_from(q: Partition) -> Partition:
+    """q* q, the canonical projective diagram attached to any q."""
+    return compose(involution(q), q).partition
 
 
 @st.composite

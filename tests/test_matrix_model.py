@@ -29,13 +29,13 @@ from particat.partition import (
 from particat.structure import (
     dominates,
     p_sigma,
-    strictly_dominates,
     sym_group,
 )
-from particat.categories import CategorySpec, enumerate_in, projectives
+from particat.categories import BUILTIN_IDS, CategorySpec, enumerate_in, projectives
+from particat.fusion import decompose_power
 from particat.matrix_model import (
+    BrauerElement,
     brauer_element,
-    brauer_involution,
     brauer_kernel_dim,
     brauer_product,
     check_functor,
@@ -55,6 +55,11 @@ NC2 = CategorySpec.named("nc2")
 P_ALL = CategorySpec.named("p")
 P2 = CategorySpec.named("p2")
 UCOL = CategorySpec.named("ucol")
+
+
+def brauer_involution(x):
+    """The involution of the diagram algebra, term by term."""
+    return BrauerElement.from_dict(x.arity, {involution(p): c for p, c in x.terms})
 
 
 def rand_rng():
@@ -186,6 +191,14 @@ DENSE_CASES = [
     ("nceven", 2, 2),
     ("p2", 2, 3),
 ]
+
+
+# (category, k, N) of the class projection against the dense oracle: every
+# built-in at k <= 3, and nceven at k = 4, the first size where the records'
+# (t, label) order differs from (t, serialization)
+CLASS_CASES = [
+    (name, k, N) for name in BUILTIN_IDS for k in range(4) for N in (2, 3)
+] + [("nceven", 4, 2)]
 
 
 def every_diagram(max_row, max_points):
@@ -518,7 +531,17 @@ class TestDenseOracle:
             assert got.shape == want.shape
             assert got.tolist() == want.tolist()
             assert all(type(x) is Fraction for x in got.ravel())
-        for rec in class_projection(spec, k, N):
+
+    @pytest.mark.parametrize("name,k,N", CLASS_CASES)
+    def test_class_projection_matches_dense_oracle(self, name, k, N):
+        # the records are decompose_power's, in its order, plus the ranks
+        spec = CategorySpec.named(name)
+        recs = class_projection(spec, k, N)
+        fields = ("representative", "members", "t", "label")
+        assert [[rec[f] for f in fields] for rec in recs] == [
+            [rec[f] for f in fields] for rec in decompose_power(spec, k)
+        ]
+        for rec in recs:
             proj, rank_class, rank_rep = class_oracle(spec, rec["members"], N)
             assert class_projection_matrix(spec, rec, N).tolist() == proj.tolist()
             assert (rec["rank_class"], rec["rank_rep"]) == (rank_class, rank_rep)

@@ -41,7 +41,6 @@ from particat.structure import (
     is_through,
     mix,
     p_sigma,
-    projective_from,
     square,
     sym_group,
     through_block_decomposition,
@@ -68,6 +67,11 @@ NCB = CategorySpec.named("ncb")
 NCEVEN = CategorySpec.named("nceven")
 UCOL = CategorySpec.named("ucol")
 P_ALL = CategorySpec.named("p")
+
+
+def projective_from(q):
+    """q* q, the canonical projective diagram attached to any q."""
+    return compose(involution(q), q).partition
 
 
 # ---------------------------------------------------------------------------
