@@ -8,7 +8,7 @@ human-readable rendering.  Labels go as text to :mod:`particat.fusion`,
 which parses and checks them.  Output is byte-identical across runs for
 identical inputs: the ``elapsed_ms`` field stays 0 unless ``--timing`` is
 passed.  Environment variables are never consulted; an optional JSON config
-file can raise or lower the size caps.
+file sets ``max_points``, the closure bound of ``gen:`` categories.
 
 Exit codes: 0 success, 2 parse or usage error (an unreadable input file
 included), 3 bounds exceeded, 4 undecidable membership in a bounded

@@ -32,7 +32,9 @@ from .partition import (
     tensor,
 )
 from .structure import _dominated_members, p_sigma, sym_group
-from .categories import CategorySpec, contains, enumerate_in, projectives
+from .categories import (
+    BoundsExceededError, CategorySpec, contains, enumerate_in, projectives
+)
 from .fusion import decompose_power
 
 __all__ = [
@@ -123,7 +125,7 @@ def _check_rows(n: int, N: int) -> None:
     if N < 1:
         raise ValueError("N must be at least 1")
     if N**n > MATRIX_ROWS_CAP:
-        raise ArityError(
+        raise BoundsExceededError(
             f"matrix would have more than {MATRIX_ROWS_CAP} rows or columns"
         )
 
@@ -275,7 +277,7 @@ def _check_caps(spec: CategorySpec, p: Partition, N: int) -> list[Partition]:
     below = _dominated_members(spec, p)
     cols = sum(t_map_rank(q, N) for q in below)
     if N**p.upper * max(1, cols) > PROJECTION_ENTRIES_CAP:
-        raise ArityError("projection solve exceeds the entry cap")
+        raise BoundsExceededError("projection solve exceeds the entry cap")
     return below
 
 
@@ -335,8 +337,13 @@ def class_projection(spec: CategorySpec, k: int, N: int) -> list[dict]:
     below = {q: _check_caps(spec, q, N) for q in projectives(spec, k)}
     records = decompose_power(spec, k)
     for rec in records:
+        # members of different color words act on different tensor powers,
+        # so their images are joined per word and the ranks summed
         bases = [_image_basis(q, below[q], N) for q in rec["members"]]
-        rank_class = len(linalg.orthogonal_basis(u for b in bases for u, _ in b))
+        words: dict = {}
+        for q, b in zip(rec["members"], bases):
+            words.setdefault(q.colors, []).extend(u for u, _ in b)
+        rank_class = sum(len(linalg.orthogonal_basis(us)) for us in words.values())
         rank_rep = len(bases[0])
         divides = rank_rep and rank_class % rank_rep == 0
         rec["rank_class"], rec["rank_rep"] = rank_class, rank_rep

@@ -47,7 +47,6 @@ __all__ = [
     "involution",
     "rotate",
     "stats",
-    "predicates",
     "conjugate_colors",
     "is_noncrossing",
     "is_pair",
@@ -455,40 +454,29 @@ def blocks_at_most_two(p: Partition) -> bool:
     return all(len(b) <= 2 for b in p.blocks)
 
 
-def is_symmetric(p: Partition) -> bool:
-    return p == involution(p)
-
-
-def is_idempotent(p: Partition) -> bool:
-    if p.upper != p.lower:
-        raise ArityError("idempotence needs equal row sizes")
-    return compose(p, p).partition == p
-
-
 def is_projective(p: Partition) -> bool:
-    if p.upper != p.lower:
-        raise ArityError("projectivity needs equal row sizes")
-    return is_symmetric(p) and is_idempotent(p)
-
-
-def predicates(p: Partition) -> dict[str, bool]:
-    """Bundle of the standard structural predicates.
-
-    ``is_idempotent`` and ``is_projective`` are reported as False when the
-    row sizes differ (the direct functions raise instead).
+    """True when p = p* = p², i.e. p = r* r on one color word: the lower row
+    mirrors the upper row and each through-block joins an upper block to
+    its mirror (each point + k).  One scan over the blocks that meet the
+    upper row, which canonical order puts first; their mirrors cover the
+    lower row, so the lower-only blocks need no check.
     """
-    square = p.upper == p.lower
-    idem = square and compose(p, p).partition == p
-    sym = is_symmetric(p)
-    return {
-        "is_noncrossing": is_noncrossing(p),
-        "is_pair": is_pair(p),
-        "all_blocks_even": all_blocks_even(p),
-        "blocks_at_most_two": blocks_at_most_two(p),
-        "is_symmetric": sym,
-        "is_idempotent": idem,
-        "is_projective": sym and idem,
-    }
+    k = p.upper
+    if k != p.lower:
+        raise ArityError("projectivity needs equal row sizes")
+    if p.colors is not None and p.colors[:k] != p.colors[k:]:
+        return False
+    owner = p.block_of()
+    for b in p.blocks:
+        if b[0] >= k:
+            break
+        mirror = tuple(x + k for x in b if x < k)
+        if b[-1] < k:
+            if p.blocks[owner[mirror[0]]] != mirror:
+                return False
+        elif b[len(mirror):] != mirror:
+            return False
+    return True
 
 
 def conjugate_colors(p: Partition) -> Partition:

@@ -226,7 +226,20 @@ class TestDecompose:
 
     def test_projection_cap_exit(self, capsys):
         argv = ["decompose", "--category", "nc", "--power", "5", "--N", "5"]
-        assert run_error(capsys, argv) == EXIT_PARSE
+        assert run_error(capsys, argv) == EXIT_BOUNDS
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--category", "nc", "--power", "7", "--N", "4"],
+            ["brauer", "--category", "nc", "--k", "4", "--N", "9"],
+            ["verify", "--suite", "functor", "--max-points", "30"],
+        ],
+        ids=["decompose", "brauer", "verify-functor"],
+    )
+    def test_rows_cap_exit(self, capsys, argv):
+        # a row of more than MATRIX_ROWS_CAP assignments is a bound
+        assert run_error(capsys, argv) == EXIT_BOUNDS
 
     @pytest.mark.parametrize("category, power", [("nc", 9), ("ucol", 7)])
     def test_projectives_cap_exit(self, capsys, category, power):

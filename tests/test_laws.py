@@ -5,18 +5,20 @@ rests on: k ``ul`` rotations take a diagram in P(k, l) to its word in
 P(0, k + l), and a full cyclic turn of a colored word is the identity.
 It also checks that the through-block factorization p = q* r s recomposes
 to p, in both color modes, with building diagrams q and s and q the upper
-building diagram of p turned over, and that the block-refinement test of
-domination agrees with its definition pq = q beyond the arities tested
-exhaustively.
+building diagram of p turned over, and that the block readings of
+domination and projectivity agree with their definitions pq = q and
+p = p* = p² beyond the arities tested exhaustively.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from particat.partition import (
+    ArityError,
     Partition,
     compose,
     involution,
+    is_projective,
     parse_partition,
     rotate,
     serialize,
@@ -154,6 +156,23 @@ def test_through_block_decomposition_recomposes(colored, data):
 def test_domination_is_pq_equals_q(pair):
     for p, q in (pair, pair[::-1]):
         assert _dominates(p, q) == (compose(p, q).partition == q)
+
+
+def projective_by_composition(p: Partition) -> bool:
+    """The definition p = p* = p² of a projective square diagram."""
+    return p == involution(p) and compose(p, p).partition == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_partition, projective_pairs())
+def test_projectivity_is_p_star_equals_p_squared(p, pair):
+    if p.upper != p.lower:
+        with pytest.raises(ArityError):
+            is_projective(p)
+    else:
+        assert is_projective(p) == projective_by_composition(p)
+    for q in pair:
+        assert is_projective(q) and projective_by_composition(q)
 
 
 @settings(max_examples=80, deadline=None)

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from particat import linalg
 from particat import matrix_model as mm
 from particat.partition import (
-    ArityError,
     ColorError,
     Partition,
     all_set_partitions,
@@ -31,7 +30,13 @@ from particat.structure import (
     p_sigma,
     sym_group,
 )
-from particat.categories import BUILTIN_IDS, CategorySpec, enumerate_in, projectives
+from particat.categories import (
+    BUILTIN_IDS,
+    BoundsExceededError,
+    CategorySpec,
+    enumerate_in,
+    projectives,
+)
 from particat.fusion import decompose_power
 from particat.matrix_model import (
     BrauerElement,
@@ -126,21 +131,41 @@ def projection_oracle(spec, p, N):
     return normalized(p, N) - linalg.projection_onto_columns(dense)
 
 
+def by_word(members, build):
+    """``build`` of each member, grouped by the member's color word: members
+    of different words act on different tensor powers."""
+    words = {}
+    for q in members:
+        words.setdefault(q.colors, []).append(build(q))
+    return words
+
+
 def class_oracle(spec, members, N):
-    """The dense class projection of one class and its two trace ranks."""
-    mats = [projection_oracle(spec, q, N) for q in members]
-    proj = linalg.projection_onto_columns(np.concatenate(mats, axis=1))
-    return proj, trace_rank(proj), trace_rank(mats[0])
+    """The dense class projections of one class, one per color word, with
+    the class rank summed over the words and the representative's rank."""
+    words = by_word(members, lambda q: projection_oracle(spec, q, N))
+    projs = {
+        word: linalg.projection_onto_columns(np.concatenate(mats, axis=1))
+        for word, mats in words.items()
+    }
+    rank_class = sum(trace_rank(proj) for proj in projs.values())
+    return projs, rank_class, trace_rank(words[members[0].colors][0])
 
 
 def class_projection_matrix(spec, rec, N):
-    """The dense class projection of one ``class_projection`` record, built
-    from the integer image bases of the class members."""
-    bases = [
-        mm._image_basis(q, mm._check_caps(spec, q, N), N) for q in rec["members"]
-    ]
-    basis = linalg.orthogonal_basis(u for b in bases for u, _ in b)
-    return linalg.basis_projection(basis, N ** rec["representative"].upper)
+    """The dense class projections of one ``class_projection`` record, one
+    per color word, built from the integer image bases of the members."""
+    words = by_word(
+        rec["members"],
+        lambda q: mm._image_basis(q, mm._check_caps(spec, q, N), N),
+    )
+    return {
+        word: linalg.basis_projection(
+            linalg.orthogonal_basis(u for b in bases for u, _ in b),
+            N ** rec["representative"].upper,
+        )
+        for word, bases in words.items()
+    }
 
 
 def psi_oracle(spec, p, N):
@@ -266,7 +291,7 @@ class TestTMap:
             seen += 1
 
     def test_size_cap(self):
-        with pytest.raises(ArityError):
+        with pytest.raises(BoundsExceededError, match="rows or columns"):
             t_map(identity(7), 4)
 
 
@@ -488,9 +513,17 @@ class TestClassProjection:
         ]
         assert sum(r["rank_class"] for r in recs) == 16
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_colored_ranks_fill_every_word(self, k, N):
+        # each of the 2^k color words of length k carries its own (C^N)^k,
+        # and the class projections of ucol split each one completely
+        recs = class_projection(UCOL, k, N)
+        assert sum(r["rank_class"] for r in recs) == 2**k * N**k
+
     def test_class_projections_orthogonal(self):
         recs = class_projection(NC, 2, 4)
-        projs = [class_projection_matrix(NC, r, 4) for r in recs]
+        projs = [class_projection_matrix(NC, r, 4)[None] for r in recs]
         for i, a in enumerate(projs):
             for b in projs[i + 1 :]:
                 assert not (a @ b).any()
@@ -542,8 +575,11 @@ class TestDenseOracle:
             [rec[f] for f in fields] for rec in decompose_power(spec, k)
         ]
         for rec in recs:
-            proj, rank_class, rank_rep = class_oracle(spec, rec["members"], N)
-            assert class_projection_matrix(spec, rec, N).tolist() == proj.tolist()
+            projs, rank_class, rank_rep = class_oracle(spec, rec["members"], N)
+            got = class_projection_matrix(spec, rec, N)
+            assert got.keys() == projs.keys()
+            for word, proj in projs.items():
+                assert got[word].tolist() == proj.tolist()
             assert (rec["rank_class"], rec["rank_rep"]) == (rank_class, rank_rep)
 
     def test_vanished_projection(self):
@@ -599,7 +635,7 @@ class TestRefusals:
     )
     def test_rows_cap(self, call):
         # refused like t_map and projection_matrix, before any work
-        with pytest.raises(ArityError, match="rows or columns"):
+        with pytest.raises(BoundsExceededError, match="rows or columns"):
             call()
 
     def test_caps_before_any_basis(self, monkeypatch):
@@ -608,12 +644,12 @@ class TestRefusals:
             raise AssertionError("a basis was built before the caps")
 
         monkeypatch.setattr(linalg, "orthogonal_basis", no_basis)
-        with pytest.raises(ArityError, match="entry cap"):
+        with pytest.raises(BoundsExceededError, match="entry cap"):
             class_projection(NC, 5, 5)
-        with pytest.raises(ArityError, match="entry cap"):
+        with pytest.raises(BoundsExceededError, match="entry cap"):
             projection_matrix(NC, identity(5), 5)
         # the entry cap would trip too; the rows cap is checked first
-        with pytest.raises(ArityError, match="rows or columns"):
+        with pytest.raises(BoundsExceededError, match="rows or columns"):
             psi_check(NC, identity(7), 4)
 
 

@@ -1,6 +1,7 @@
 """Core diagram type: grammar, canonical form, operations, predicates."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,12 +17,9 @@ from particat.partition import (
     empty_partition,
     identity,
     involution,
-    is_idempotent,
     is_noncrossing,
     is_projective,
-    is_symmetric,
     parse_partition,
-    predicates,
     random_partition,
     rotate,
     serialize,
@@ -29,7 +27,7 @@ from particat.partition import (
     tensor,
     _flip,
 )
-from particat import structure
+from particat import partition as partition_module, structure
 from particat.categories import (
     CategorySpec,
     _colorings,
@@ -38,7 +36,7 @@ from particat.categories import (
     _word,
     enumerate_in,
 )
-from particat.fusion import _block_as_partition
+from particat.fusion import _block_as_partition, fusion
 from particat.structure import to_through_partition, upper_building
 from particat.verify import _partitions_up_to
 
@@ -434,14 +432,37 @@ class TestBoundaryWalk:
             )
 
 
+def projective_by_composition(p: Partition) -> bool:
+    """The definition p = p* = p², by flipping and composing: the oracle
+    for the block reading of :func:`is_projective`, the library's former
+    implementation, on square diagrams."""
+    return p == involution(p) and compose(p, p).partition == p
+
+
+def square_diagrams(max_points: int, colored: bool):
+    """Every diagram in P(k, k) with 2k <= max_points, in every coloring."""
+    for k in range(max_points // 2 + 1):
+        for blocks in all_set_partitions(2 * k):
+            p = Partition(k, k, blocks)
+            yield from _colorings(p) if colored else [p]
+
+
 class TestPredicates:
     def test_crossing_not_projective(self):
-        assert is_symmetric(P2_CROSSING)
-        assert not is_idempotent(P2_CROSSING)
-        assert not predicates(P2_CROSSING)["is_projective"]
+        # symmetric, but its square is the identity
+        assert P2_CROSSING == involution(P2_CROSSING)
+        assert not is_projective(P2_CROSSING)
+        assert not projective_by_composition(P2_CROSSING)
 
     def test_nested_double_pair_projective(self):
-        assert predicates(P5_NESTED)["is_projective"]
+        assert is_projective(P5_NESTED)
+        assert projective_by_composition(P5_NESTED)
+
+    def test_rectangular_raises(self):
+        rectangular = [p for p in _partitions_up_to(5) if p.upper != p.lower]
+        for p in [P1, *rectangular]:
+            with pytest.raises(ArityError, match="equal row sizes"):
+                is_projective(p)
 
     def test_crossing_detection(self):
         assert not is_noncrossing(P2_CROSSING)
@@ -454,13 +475,38 @@ class TestPredicates:
                 p = Partition.make(k, k, blocks)
                 if not is_noncrossing(p):
                     continue
-                assert is_projective(p) == is_symmetric(p)
+                assert is_projective(p) == (p == involution(p))
 
-    def test_bundle_on_rectangular(self):
-        out = predicates(P1)
-        assert not out["is_projective"] and not out["is_idempotent"]
-        with pytest.raises(ArityError):
-            is_idempotent(P1)
+    @pytest.mark.parametrize("max_points, colored", [(8, False), (6, True)])
+    def test_block_reading_matches_definition(self, max_points, colored):
+        seen = {True: 0, False: 0}
+        for p in square_diagrams(max_points, colored):
+            got = is_projective(p)
+            assert got == projective_by_composition(p), p
+            seen[got] += 1
+        assert seen[True] and seen[False]
+
+    def test_no_composition_or_flip(self, monkeypatch):
+        # op budget: the block reading composes and flips nothing, wherever
+        # compose and involution are bound; fusion's operand check then
+        # leaves two compositions per nested mixing of id3 with itself
+        calls = {"compose": 0, "involution": 0}
+        for name in calls:
+            real = getattr(partition_module, name)
+
+            def counting(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            for module in list(sys.modules.values()):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counting)
+        for p in square_diagrams(6, True):
+            is_projective(p)
+        assert calls == {"compose": 0, "involution": 0}
+        res = fusion(CategorySpec.named("nc"), identity(3), identity(3))
+        assert res.members
+        assert calls["compose"] == 14
 
 
 class TestColors:

@@ -394,7 +394,7 @@ class TestDomination:
         for p in pool:
             for q in pool:
                 fusion_brute_force(NCB, p, q)
-        with pytest.raises(ArityError):
+        with pytest.raises(BoundsExceededError, match="entry cap"):
             class_projection(NC, 5, 5)
         assert calls == []
 
