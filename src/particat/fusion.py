@@ -33,7 +33,6 @@ from .partition import (
     Partition,
     empty_partition,
     identity,
-    involution,
     is_projective,
     parse_partition,
     serialize,
@@ -504,9 +503,9 @@ def freeness_probe(spec: CategorySpec, max_arity: int = 3) -> dict:
     heads = [upper_building(rep) for rep in reps]  # as _equivalence_classes
 
     def letter_of(p: Partition) -> Optional[int]:
-        pu_star = involution(upper_building(p))
+        pu = upper_building(p)
         for idx, head in enumerate(heads):
-            if _equivalent(spec, head, pu_star):
+            if _equivalent(spec, head, pu):
                 return idx
         return None
 

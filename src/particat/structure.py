@@ -8,7 +8,8 @@ lower points are ordered by their smallest upper neighbour) and r is a
 *through* diagram (a permutation written as vertical-free pairs).  The number
 of through-blocks of p equals the middle arity of the factorization.  One
 routine, :func:`upper_building`, reads a building diagram off p's blocks:
-s is that of p and q that of p turned over.
+s is that of p and q that of p turned over.  Every product q* m s of two
+building diagrams around a middle m is read off the blocks too.
 
 Projective diagrams (symmetric idempotents, equivalently q* q for some q) are
 partially ordered by domination: q is dominated by p when pq = q.  The order
@@ -37,7 +38,6 @@ from .partition import (
     Partition,
     WHITE,
     all_blocks_even,
-    compose,
     involution,
     is_pair,
     is_projective,
@@ -99,9 +99,7 @@ class ThroughBlockDecomposition:
     upper_building: Partition  # s
 
     def recompose(self) -> Partition:
-        return compose_chain(
-            involution(self.lower_building), self.middle, self.upper_building
-        )
+        return _stack(self.upper_building, self.middle, self.lower_building)
 
 
 @dataclass(frozen=True)
@@ -116,16 +114,6 @@ class MixingPartition:
     left_arity: int
     right_arity: int
     partition: Partition
-
-
-def compose_chain(*parts: Partition) -> Partition:
-    """Compose bottom-to-top: compose_chain(c, b, a) is the stack a over b over c."""
-    if not parts:
-        raise ValueError("need at least one diagram")
-    result = parts[-1]
-    for nxt in reversed(parts[:-1]):
-        result = compose(nxt, result).partition
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +167,34 @@ def upper_building(p: Partition) -> Partition:
         blocks.append(b)
     colors = None if p.colors is None else p.colors[:k] + (WHITE,) * t
     return Partition(k, t, tuple(blocks), colors)
+
+
+def _stack(s: Partition, m: Partition, q: Partition) -> Partition:
+    """q* m s for building diagrams s in P(k, a), q in P(l, b) and any m in
+    P(a, b), read off the blocks: the blocks of s and q that do not go
+    through stay on their rows (q's shifted by k to the lower row), and each
+    block of m joins the upper points that s and q pin to its points.  No
+    middle point is lost, so no loop is removed; colors come from the outer
+    rows only."""
+    k, a, l = s.upper, s.lower, q.upper
+    pins: list[tuple[int, ...]] = [()] * (a + q.lower)  # by point of m
+    blocks = []
+    for b in s.blocks:
+        if b[-1] >= k:  # a building block ends in its one lower point
+            pins[b[-1] - k] = b[:-1]
+        else:
+            blocks.append(b)
+    for b in q.blocks:
+        shifted = tuple(x + k for x in b)
+        if b[-1] >= l:
+            pins[a + b[-1] - l] = shifted[:-1]
+        else:
+            blocks.append(shifted)
+    for b in m.blocks:
+        blocks.append(tuple(sorted(x for y in b for x in pins[y])))
+    blocks.sort()
+    colors = None if s.colors is None else s.colors[:k] + q.colors[:l]
+    return Partition(k, l, tuple(blocks), colors)
 
 
 def _through_blocks(p: Partition) -> list[tuple[int, ...]]:
@@ -287,21 +303,16 @@ def _sigmas(spec: CategorySpec, t: int) -> Iterable[Permutation]:
 
     In a noncrossing category every permutation but the identity makes
     q_u* r_sigma p_u cross, so only the identity is tried; elsewhere all
-    t! permutations are, up to :data:`SYM_SEARCH_CAP` through-blocks.
+    t! permutations are, up to :data:`SYM_SEARCH_CAP` through-blocks, past
+    which the search raises :class:`~particat.categories.BoundsExceededError`.
     """
     if is_noncrossing_spec(spec):
         return [tuple(range(t))]
     if t > SYM_SEARCH_CAP:
-        raise ValueError(
+        raise BoundsExceededError(
             f"through-block count {t} exceeds the search cap {SYM_SEARCH_CAP}"
         )
     return permutations(range(t))
-
-
-def _witness(qu_star: Partition, sigma: Permutation, pu: Partition) -> Partition:
-    """q_u* r_sigma p_u: the upper building diagram of p, the permutation of
-    the through-blocks, then the upper building diagram of q turned over."""
-    return compose_chain(qu_star, to_through_partition(sigma, pu.colored), pu)
 
 
 def p_sigma(p: Partition, sigma: Permutation) -> Partition:
@@ -314,7 +325,7 @@ def p_sigma(p: Partition, sigma: Permutation) -> Partition:
             f"permutation acts on {len(sigma)} strands, p has {t} through-blocks"
         )
     pu = upper_building(p)
-    return _witness(involution(pu), sigma, pu)
+    return _stack(pu, to_through_partition(sigma), pu)
 
 
 def sym_group(spec: CategorySpec, p: Partition) -> list[Permutation]:
@@ -333,11 +344,10 @@ def sym_group(spec: CategorySpec, p: Partition) -> list[Permutation]:
     if t == 0:
         raise ValueError("the symmetry group needs at least one through-block")
     pu = upper_building(p)
-    pu_star = involution(pu)
     return [
         tuple(sigma)
         for sigma in _sigmas(spec, t)
-        if contains(spec, _witness(pu_star, sigma, pu))
+        if contains(spec, _stack(pu, to_through_partition(sigma), pu))
     ]
 
 
@@ -353,19 +363,16 @@ def equivalent(spec: CategorySpec, p: Partition, q: Partition) -> bool:
         raise ValueError("equivalence is defined for projective diagrams")
     if not (contains(spec, p) and contains(spec, q)):
         raise ValueError("both diagrams must belong to the category")
-    return p == q or _equivalent(
-        spec, upper_building(p), involution(upper_building(q))
-    )
+    return p == q or _equivalent(spec, upper_building(p), upper_building(q))
 
 
-def _equivalent(spec: CategorySpec, pu: Partition, qu_star: Partition) -> bool:
+def _equivalent(spec: CategorySpec, pu: Partition, qu: Partition) -> bool:
     """:func:`equivalent` for distinct projective members p and q, read off
-    the upper building diagram ``pu`` of p and the turned-over one
-    ``qu_star`` of q, so a caller comparing many pairs builds them once per
-    member."""
+    their upper building diagrams ``pu`` and ``qu``, so a caller comparing
+    many pairs builds them once per member."""
     t = pu.lower
-    return qu_star.upper == t and any(
-        contains(spec, _witness(qu_star, sigma, pu))
+    return qu.lower == t and any(
+        contains(spec, _stack(pu, to_through_partition(sigma), qu))
         for sigma in _sigmas(spec, t)
     )
 
@@ -383,9 +390,8 @@ def _equivalence_classes(
     heads: list[Partition] = []  # upper building of each class's first member
     for p in members:
         pu = upper_building(p)
-        pu_star = involution(pu)
         for head, cls in zip(heads, classes):
-            if _equivalent(spec, head, pu_star):
+            if _equivalent(spec, head, pu):
                 cls.append(p)
                 break
         else:
@@ -476,20 +482,11 @@ def _nested_mixings(k: int, l: int) -> list[MixingPartition]:
 def _graft(
     p: Partition, q: Partition, mixings: Iterable[MixingPartition]
 ) -> list[Partition]:
-    """Stack each mixing diagram between the upper building diagrams of p
-    and q: the tensor of the two, its turn-over and, for colored p, the
-    white lift of a mixing's points are built once per pair.  The caller
-    has checked that every mixing has arities (t(p), t(q))."""
+    """Stack each mixing diagram h between the upper building diagrams of p
+    and q: with s their tensor, built once per pair, the graft is s* h s.
+    The caller has checked that every mixing has arities (t(p), t(q))."""
     mid = tensor(upper_building(p), upper_building(q))
-    top = involution(mid)
-    white = (WHITE,) * (2 * mid.lower)
-    out = []
-    for h in mixings:
-        hp = h.partition
-        if p.colored and not hp.colored:
-            hp = Partition(hp.upper, hp.lower, hp.blocks, white)
-        out.append(compose_chain(top, hp, mid))
-    return out
+    return [_stack(mid, h.partition, mid) for h in mixings]
 
 
 def mix(p: Partition, q: Partition, h: MixingPartition) -> Partition:

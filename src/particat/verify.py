@@ -46,7 +46,7 @@ __all__ = [
     "SUITES",
 ]
 
-STRUCTURE_MAX_POINTS = 9  # 28 s at 9 points; the diagrams grow as Bell numbers
+STRUCTURE_MAX_POINTS = 9  # 11-15 s at 9 points, 2-core Xeon; Bell-number growth
 
 
 def _partitions_up_to(max_points: int):

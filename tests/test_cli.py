@@ -316,6 +316,15 @@ class TestSym:
         assert code == EXIT_OK
         assert doc["result"]["order"] == 6
 
+    def test_search_cap_exit(self, capsys):
+        # nine through-blocks are past structure.SYM_SEARCH_CAP = 8
+        argv = ["sym", "--category", "p", "--partition", "abcdefghi:abcdefghi"]
+        assert run(argv) == EXIT_BOUNDS
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error == "through-block count 9 exceeds the search cap 8"
+
 
 class TestTable:
     def test_step_two_table(self, capsys):

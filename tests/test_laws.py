@@ -6,8 +6,8 @@ P(0, k + l), and a full cyclic turn of a colored word is the identity.
 It also checks that the through-block factorization p = q* r s recomposes
 to p, in both color modes, with building diagrams q and s and q the upper
 building diagram of p turned over, and that the block readings of
-domination and projectivity agree with their definitions pq = q and
-p = p* = p² beyond the arities tested exhaustively.
+stacking q* m s, domination and projectivity agree with their definitions
+by composition beyond the arities tested exhaustively.
 """
 
 import pytest
@@ -26,6 +26,7 @@ from particat.partition import (
 )
 from particat.structure import (
     _dominates,
+    _stack,
     is_building,
     through_block_decomposition,
     upper_building,
@@ -41,12 +42,14 @@ def color_rows(n: int):
 
 
 @st.composite
-def partitions(draw, colored, upper=None, upper_colors=None, max_lower=MAX_ROW):
+def partitions(
+    draw, colored, upper=None, upper_colors=None, max_lower=MAX_ROW, lower=None
+):
     """A diagram with at most MAX_ROW upper and ``max_lower`` lower points;
     ``upper`` and ``upper_colors`` pin its upper row so that it can sit
-    below another."""
+    below another, and ``lower`` pins the size of its lower row."""
     k = draw(st.integers(0, MAX_ROW)) if upper is None else upper
-    l = draw(st.integers(0, max_lower))
+    l = draw(st.integers(0, max_lower)) if lower is None else lower
     blocks: list[list[int]] = []
     for x in range(k + l):  # a restricted growth string
         choice = draw(st.integers(0, len(blocks)))
@@ -82,6 +85,14 @@ any_partition = st.booleans().flatmap(partitions)
 def projective_from(q: Partition) -> Partition:
     """q* q, the canonical projective diagram attached to any q."""
     return compose(involution(q), q).partition
+
+
+def stack_by_composition(s: Partition, m: Partition, q: Partition) -> Partition:
+    """q* m s by two compositions, with an uncolored m lifted to white
+    points between colored s and q: the oracle of the block-read stack."""
+    if s.colored and not m.colored:
+        m = Partition(m.upper, m.lower, m.blocks, ("w",) * m.n_points)
+    return compose(involution(q), compose(m, s).partition).partition
 
 
 @st.composite
@@ -147,8 +158,25 @@ def test_through_block_decomposition_recomposes(colored, data):
     p = data.draw(partitions(colored))
     d = through_block_decomposition(p)
     assert d.recompose() == p
+    assert stack_by_composition(d.upper_building, d.middle, d.lower_building) == p
     assert d.lower_building == upper_building(involution(p))
     assert is_building(d.lower_building) and is_building(d.upper_building)
+
+
+@pytest.mark.parametrize("colored", [False, True])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_stack_matches_composition(colored, data):
+    # building diagrams s and q of up to five upper points around a free
+    # middle m; between colored ones m is either uncolored or white
+    s, q = (
+        upper_building(data.draw(partitions(colored, upper=k, max_lower=5)))
+        for k in data.draw(st.tuples(st.integers(0, 5), st.integers(0, 5)))
+    )
+    m = data.draw(partitions(False, upper=s.lower, lower=q.lower))
+    if colored and data.draw(st.booleans()):
+        m = Partition(m.upper, m.lower, m.blocks, ("w",) * m.n_points)
+    assert _stack(s, m, q) == stack_by_composition(s, m, q)
 
 
 @settings(max_examples=200, deadline=None)

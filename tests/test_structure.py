@@ -1,6 +1,7 @@
 """Through-block factorization, domination, mixing, words, equivalence."""
 
 import random
+import sys
 from itertools import permutations
 
 import pytest
@@ -25,7 +26,7 @@ from particat.partition import (
     tensor,
     conjugate_colors,
 )
-from particat import structure
+from particat import partition as partition_module, structure
 from particat.fusion import fusion_brute_force
 from particat.matrix_model import class_projection
 from particat.structure import (
@@ -33,7 +34,6 @@ from particat.structure import (
     SYM_SEARCH_CAP,
     _equivalence_classes,
     boxvert,
-    compose_chain,
     dominates,
     enumerate_mixing,
     equivalent,
@@ -72,6 +72,32 @@ P_ALL = CategorySpec.named("p")
 def projective_from(q):
     """q* q, the canonical projective diagram attached to any q."""
     return compose(involution(q), q).partition
+
+
+def compose_chain(*parts):
+    """Compose bottom-to-top: compose_chain(c, b, a) is the stack a over b
+    over c.  The composition oracle of the library's block-read stacking."""
+    result = parts[-1]
+    for nxt in reversed(parts[:-1]):
+        result = compose(nxt, result).partition
+    return result
+
+
+def count_calls(monkeypatch, names):
+    """Count the calls of the named ``particat.partition`` functions
+    wherever they are bound."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(partition_module, name)
+
+        def counting(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -382,21 +408,14 @@ class TestDomination:
                 assert structure._dominated_members(spec, p) == want, str(p)
 
     def test_domination_composes_nothing(self, monkeypatch):
-        calls = []
-        original = structure.compose
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(structure, "compose", counted)
+        calls = count_calls(monkeypatch, ["compose"])
         pool = projectives(NCB, 1) + projectives(NCB, 2)
         for p in pool:
             for q in pool:
                 fusion_brute_force(NCB, p, q)
         with pytest.raises(BoundsExceededError, match="entry cap"):
             class_projection(NC, 5, 5)
-        assert calls == []
+        assert calls == {"compose": 0}
 
 
 class TestPSigma:
@@ -473,6 +492,13 @@ class TestSymGroup:
             sym_group(P_ALL, parse_partition("ab:ba"))
         with pytest.raises(ValueError):
             sym_group(NC, parse_partition("aab:acc"))
+
+    def test_search_cap_is_a_bound(self):
+        t = SYM_SEARCH_CAP + 1
+        with pytest.raises(BoundsExceededError, match="search cap"):
+            sym_group(P_ALL, identity(t))
+        # noncrossing categories try one permutation, so no cap applies
+        assert sym_group(NC, identity(t)) == [tuple(range(t))]
 
 
 class TestEquivalence:
@@ -569,6 +595,35 @@ def mix_per_mixing(p, q, h):
             hp.upper, hp.lower, hp.blocks, (WHITE,) * hp.n_points
         )
     return compose_chain(involution(mid), hp, mid)
+
+
+class TestStacking:
+    def test_composes_and_flips_nothing(self, monkeypatch):
+        # op budget: grafts, equivalence witnesses and recomposition are
+        # read off the blocks, with no composition and no turn-over
+        pools = [projectives(P_ALL, 2), projectives(UCOL, 2)]
+        rng = rand_rng()
+        diagrams = [
+            random_partition(rng, 3, 3, colored=rng.random() < 0.5)
+            for _ in range(50)
+        ]
+        decompositions = [through_block_decomposition(p) for p in diagrams]
+        calls = count_calls(monkeypatch, ["compose", "involution"])
+        grafts = [
+            structure._graft(p, q, enumerate_mixing(stats(p).t, stats(q).t))
+            for pool in pools
+            for p in pool
+            for q in pool
+        ]
+        classes = [_equivalence_classes(P_ALL, projectives(P_ALL, 3))]
+        classes.append(_equivalence_classes(UCOL, pools[1]))
+        groups = [
+            sym_group(P_ALL, p) for p in projectives(P_ALL, 3) if stats(p).t
+        ]
+        recomposed = [d.recompose() for d in decompositions]
+        assert calls == {"compose": 0, "involution": 0}
+        assert all(grafts) and all(classes) and all(groups)
+        assert recomposed == diagrams
 
 
 class TestMixing:
