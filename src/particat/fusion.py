@@ -31,6 +31,7 @@ from .partition import (
     _LETTERS,
     GrammarError,
     Partition,
+    conjugate_colors,
     empty_partition,
     identity,
     is_projective,
@@ -59,6 +60,7 @@ from .categories import (
     BoundsExceededError,
     CategorySpec,
     contains,
+    enumerate_in,
     is_noncrossing_spec,
     projectives,
 )
@@ -480,10 +482,13 @@ def freeness_probe(spec: CategorySpec, max_arity: int = 3) -> dict:
     category, the single-block letter set with its involution and merge
     fusion, and whether class labels at the tested arities embed injectively
     into words over the letters.
-    """
-    from .categories import enumerate_in
-    from .partition import conjugate_colors
 
+    Letters merge pairwise, so on a generated category the probe asks
+    membership of diagrams of up to 4 * max_arity points.  A merged letter
+    beyond the category's point bound raises
+    :class:`~particat.categories.UndecidableMembershipError`, as
+    :func:`~particat.categories.contains` does, instead of a guessed entry.
+    """
     # block stability over all members at small sizes
     block_stable = True
     for n in range(0, 2 * max_arity + 1):

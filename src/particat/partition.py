@@ -4,10 +4,11 @@ Two-row set partitions and the four diagram operations.
 A partition diagram has k upper points and l lower points; the k+l points are
 split into nonempty blocks, and blocks may connect the two rows.  Internally
 the upper points get ids 0..k-1 (left to right) and the lower points get ids
-k..k+l-1 (left to right).  Every value is immutable and kept in a canonical
-form: blocks are sorted internally, and the block list is ordered by first
-appearance when scanning the upper row left to right and then the lower row
-left to right.  Two diagrams are equal exactly when their canonical forms are.
+k..k+l-1 (left to right).  A diagram is a named tuple of its row sizes,
+blocks and colors, kept in a canonical form: blocks are sorted internally,
+and the block list is ordered by first appearance when scanning the upper row
+left to right and then the lower row left to right.  Two diagrams are equal,
+and hash alike, exactly when their canonical forms are.
 
 The text grammar is ``<upper-word>[@<upper-colors>]:<lower-word>[@<lower-colors>]``
 where the words are letter strings, the same letter denoting the same block
@@ -32,7 +33,6 @@ and flip when a point changes row under rotation.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
 from typing import Iterable, Literal, NamedTuple, Optional, Sequence
 
 __all__ = [
@@ -89,7 +89,7 @@ def _flip(color: str) -> str:
     return BLACK if color == WHITE else WHITE
 
 
-class Partition:
+class Partition(NamedTuple):
     """An immutable two-row set partition, always in canonical form.
 
     Attributes:
@@ -101,35 +101,18 @@ class Partition:
         colors: ``None`` for an uncolored diagram, else a tuple of 'w'/'b'
                 of length k+l (one entry per point).
 
-    The constructor trusts its arguments to be canonical already and checks
-    nothing: the library builds with it where blocks are canonical by
-    construction (tuples, never lists).  Block lists handed in by callers
-    go through :meth:`make`, which validates and canonicalizes them.
+    A named tuple: immutability, equality and the hash all come from the
+    four fields.  The constructor trusts its arguments to be canonical
+    already and checks nothing: the library builds with it where blocks are
+    canonical by construction (tuples, never lists).  Block lists handed in
+    by callers go through :meth:`make`, which validates and canonicalizes
+    them.
     """
-
-    __slots__ = ("upper", "lower", "blocks", "colors", "_hash", "_ser")
 
     upper: int
     lower: int
     blocks: tuple[tuple[int, ...], ...]
-    colors: Optional[tuple[str, ...]]
-
-    def __init__(
-        self,
-        upper: int,
-        lower: int,
-        blocks: tuple[tuple[int, ...], ...],
-        colors: Optional[tuple[str, ...]] = None,
-    ):
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "colors", colors)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_ser", None)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability
-        raise AttributeError("Partition is immutable")
+    colors: Optional[tuple[str, ...]] = None
 
     @staticmethod
     def make(
@@ -160,23 +143,6 @@ class Partition:
             if bad:
                 raise ColorError(f"colors must be 'w' or 'b', got {bad[0]!r}")
         return Partition(upper, lower, norm, col)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return (
-            self.upper == other.upper
-            and self.lower == other.lower
-            and self.blocks == other.blocks
-            and self.colors == other.colors
-        )
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.upper, self.lower, self.blocks, self.colors))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     @property
     def n_points(self) -> int:
@@ -215,8 +181,7 @@ class Partition:
         return (self.n_points, self.upper, serialize(self))
 
 
-@dataclass(frozen=True)
-class PartitionStats:
+class PartitionStats(NamedTuple):
     """Block counts: b blocks, t through-blocks, beta = b - t."""
 
     b: int
@@ -493,10 +458,9 @@ _LETTERS = string.ascii_lowercase + string.ascii_uppercase
 
 
 def serialize(p: Partition) -> str:
-    """Canonical text form; inverse of :func:`parse_partition`."""
-    cached = p._ser
-    if cached is not None:
-        return cached
+    """Canonical text form; inverse of :func:`parse_partition`.
+
+    Built afresh on each call; a diagram caches nothing beside its fields."""
     if len(p.blocks) > len(_LETTERS):
         raise ValueError("too many blocks for the letter grammar")
     owner = p.block_of()
@@ -505,16 +469,13 @@ def serialize(p: Partition) -> str:
         _LETTERS[owner[p.upper + j]] for j in range(p.lower)
     )
     if p.colors is None:
-        text = f"{upper_word}:{lower_word}"
-    else:
-        uc = "".join(p.colors[: p.upper])
-        lc = "".join(p.colors[p.upper :])
-        # a colored empty row still needs the marker so parsing stays unambiguous
-        up = f"{upper_word}@{uc}" if p.upper else "@"
-        lo = f"{lower_word}@{lc}" if p.lower else "@"
-        text = f"{up}:{lo}"
-    object.__setattr__(p, "_ser", text)
-    return text
+        return f"{upper_word}:{lower_word}"
+    uc = "".join(p.colors[: p.upper])
+    lc = "".join(p.colors[p.upper :])
+    # a colored empty row still needs the marker so parsing stays unambiguous
+    up = f"{upper_word}@{uc}" if p.upper else "@"
+    lo = f"{lower_word}@{lc}" if p.lower else "@"
+    return f"{up}:{lo}"
 
 
 def _parse_row(text: str) -> tuple[str, Optional[str]]:

@@ -290,10 +290,11 @@ def _dominated_members(spec: CategorySpec, p: Partition) -> list[Partition]:
 
 
 def to_through_partition(sigma: Permutation, colored: bool = False) -> Partition:
-    """The through diagram of a permutation: upper i joins lower sigma(i)."""
+    """The through diagram of a permutation: upper i joins lower sigma(i).
+
+    Trusts sigma to be a permutation of 0..m-1: the library builds its own,
+    and :func:`p_sigma` checks the one a caller hands in."""
     m = len(sigma)
-    if sorted(sigma) != list(range(m)):
-        raise ValueError(f"not a permutation of 0..{m - 1}: {sigma}")
     blocks = tuple((i, m + sigma[i]) for i in range(m))
     return Partition(m, m, blocks, (WHITE,) * (2 * m) if colored else None)
 
@@ -324,6 +325,8 @@ def p_sigma(p: Partition, sigma: Permutation) -> Partition:
         raise ArityError(
             f"permutation acts on {len(sigma)} strands, p has {t} through-blocks"
         )
+    if sorted(sigma) != list(range(t)):
+        raise ValueError(f"not a permutation of 0..{t - 1}: {sigma}")
     pu = upper_building(p)
     return _stack(pu, to_through_partition(sigma), pu)
 

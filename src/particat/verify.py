@@ -46,7 +46,7 @@ __all__ = [
     "SUITES",
 ]
 
-STRUCTURE_MAX_POINTS = 9  # 11-15 s at 9 points, 2-core Xeon; Bell-number growth
+STRUCTURE_MAX_POINTS = 9  # 8-9 s at 9 points, 2-core Xeon; Bell-number growth
 
 
 def _partitions_up_to(max_points: int):

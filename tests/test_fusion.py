@@ -23,6 +23,7 @@ from particat.structure import boxvert, word_h, word_u
 from particat.categories import (
     BoundsExceededError,
     CategorySpec,
+    UndecidableMembershipError,
     contains,
     projectives,
 )
@@ -602,6 +603,16 @@ class TestFreenessProbe:
             "a@b:a@b", "a@w:a@w", "aa@bw:aa@bw", "aa@wb:aa@wb"
         ]
         assert report["involution"] == {0: 1, 1: 0, 2: 2, 3: 3}
+
+    def test_merged_letter_past_the_bound_refuses(self):
+        # aa:aa merged with itself is aaaa:aaaa, 8 points past the bound 6:
+        # the probe refuses rather than guess a fusion entry
+        gen = CategorySpec(
+            generators=(parse_partition("aa:aa"), parse_partition("ab:ba")),
+            max_points=6,
+        )
+        with pytest.raises(UndecidableMembershipError, match="aaaa:aaaa has 8"):
+            freeness_probe(gen, 2)
 
     def test_loop_category_single_fusing_letter(self):
         report = freeness_probe(NC, max_arity=3)

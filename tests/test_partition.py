@@ -525,6 +525,30 @@ class TestColors:
             conjugate_colors(identity(1))
 
 
+class TestValueSemantics:
+    """A diagram is a value: its fields cannot be assigned, and equality and
+    the hash are those of the four fields, so set and dict layouts depend
+    on the diagram's data only."""
+
+    def test_fields_cannot_be_assigned(self):
+        p = parse_partition("aab:accc")
+        for field, value in (
+            ("upper", 2), ("lower", 0), ("blocks", ()), ("colors", ("w",))
+        ):
+            with pytest.raises(AttributeError):
+                setattr(p, field, value)
+        assert p == parse_partition("aab:accc")
+
+    @settings(max_examples=100, deadline=None)
+    @given(colored_partitions(), st.booleans())
+    def test_hash_and_equality_follow_the_fields(self, p, colored):
+        if not colored:
+            p = Partition.make(p.upper, p.lower, p.blocks)
+        assert hash(p) == hash((p.upper, p.lower, p.blocks, p.colors))
+        made = Partition.make(p.upper, p.lower, p.blocks, p.colors)
+        assert made == p and hash(made) == hash(p)
+
+
 # ---------------------------------------------------------------------------
 # trusted construction: sites that build Partition directly, against make
 

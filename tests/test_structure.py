@@ -427,6 +427,11 @@ class TestPSigma:
         crossing = Partition.make(2, 2, [(0, 3), (1, 2)])
         assert p_sigma(identity(2), (1, 0)) == crossing
 
+    def test_refuses_a_non_permutation(self):
+        # the one caller whose sigma comes from outside checks it
+        with pytest.raises(ValueError, match="not a permutation of 0..1"):
+            p_sigma(identity(2), (0, 0))
+
     def test_group_law(self):
         rng = rand_rng()
         pool = [p for p in projectives(P_ALL, 3) if stats(p).t > 0]
