@@ -156,7 +156,8 @@ def t_map_rank(p: Partition, N: int) -> int:
     :func:`t_map` refuses them.
     """
     _check_rows(max(p.upper, p.lower), N)
-    return N ** stats(p).t
+    k = p.upper
+    return N ** len([b for b in p.blocks if b[0] < k <= b[-1]])
 
 
 def _columns(members: list[Partition], N: int) -> list[dict[int, int]]:

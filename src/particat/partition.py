@@ -33,6 +33,7 @@ and flip when a point changes row under rotation.
 from __future__ import annotations
 
 import string
+from itertools import chain
 from typing import Iterable, Literal, NamedTuple, Optional, Sequence
 
 __all__ = [
@@ -121,18 +122,18 @@ class Partition(NamedTuple):
         blocks: Iterable[Iterable[int]],
         colors: Optional[Sequence[str]] = None,
     ) -> "Partition":
-        """Validate and canonicalize raw block data into a Partition: the
-        entry point for block lists that callers hand in."""
+        """Validate and canonicalize the raw blocks that callers hand in,
+        which must list each point exactly once, into a Partition."""
+        if upper < 0 or lower < 0:
+            raise ArityError(f"row sizes must be nonnegative, got {upper}, {lower}")
         n = upper + lower
-        norm = tuple(sorted(tuple(sorted(set(b))) for b in blocks))
-        seen: list[int] = []
-        for b in norm:
-            if not b:
-                raise ValueError("empty block")
-            seen.extend(b)
-        if sorted(seen) != list(range(n)):
+        norm = sorted(map(tuple, map(sorted, blocks)))
+        if norm and not norm[0]:  # an empty block sorts first
+            raise ValueError("empty block")
+        points = sorted(chain.from_iterable(norm))
+        if points != list(range(n)):
             raise ValueError(
-                f"blocks must partition the {n} points exactly, got {sorted(seen)}"
+                f"blocks must partition the {n} points exactly, got {points}"
             )
         col: Optional[tuple[str, ...]] = None
         if colors is not None:
@@ -142,7 +143,7 @@ class Partition(NamedTuple):
             bad = [c for c in col if c not in (WHITE, BLACK)]
             if bad:
                 raise ColorError(f"colors must be 'w' or 'b', got {bad[0]!r}")
-        return Partition(upper, lower, norm, col)
+        return Partition(upper, lower, tuple(norm), col)
 
     @property
     def n_points(self) -> int:
@@ -382,9 +383,8 @@ def rotate(p: Partition, corner: Corner) -> Partition:
 
 def stats(p: Partition) -> PartitionStats:
     """Counts (b, t, beta): blocks, through-blocks, non-through-blocks."""
-    k = p.upper
-    b = len(p.blocks)
-    t = sum(1 for blk in p.blocks if blk[0] < k and blk[-1] >= k)
+    b, k = len(p.blocks), p.upper
+    t = len([blk for blk in p.blocks if blk[0] < k <= blk[-1]])
     return PartitionStats(b, t, b - t)
 
 

@@ -65,18 +65,18 @@ def suite_functor(
     half = max(1, max_points // 2)
     checks = 0
     failures: list[str] = []
-    reports: dict[tuple[Partition, Partition], dict] = {}
+    memo: dict[tuple[Partition, Partition], tuple[int, bool]] = {}
     for _ in range(samples):
-        k = rng.randrange(half + 1)
-        l = rng.randrange(half + 1)
-        m = rng.randrange(half + 1)
+        k, l, m = (rng.randrange(half + 1) for _ in range(3))
         top = random_partition(rng, k, l)
         bottom = random_partition(rng, l, m)
-        report = reports.get((bottom, top))
-        if report is None:
-            report = reports[bottom, top] = check_functor(bottom, top, N)
-        checks += sum(1 for key in report if key.endswith("_rule"))
-        if not report["passed"]:
+        entry = memo.get((bottom, top))
+        if entry is None:
+            report = check_functor(bottom, top, N)
+            rules = sum(1 for key in report if key.endswith("_rule"))
+            entry = memo[bottom, top] = rules, report["passed"]
+        checks += entry[0]
+        if not entry[1]:
             failures.append(
                 f"functor rules failed on {serialize(bottom)} / {serialize(top)}"
             )
@@ -119,11 +119,10 @@ def suite_structure(max_points: int = 8) -> dict:
             failures.append(f"recomposition failed for {serialize(p)}")
         st = stats(p)
         if p.upper == p.lower and is_projective(p):
-            checks += 1
+            checks += 2
             if st.beta % 2 != 0:
                 failures.append(f"odd non-through count on projective {serialize(p)}")
             loops = compose(p, p).removed_loops
-            checks += 1
             if st.beta != 2 * loops:
                 failures.append(f"loop count mismatch on {serialize(p)}")
 

@@ -109,6 +109,33 @@ def rotate_by_tables(p: Partition, corner: str) -> Partition:
     return Partition.make(new_k, new_l, blocks, colors)
 
 
+def make_by_sets(upper, lower, blocks, colors=None) -> Partition:
+    """``Partition.make`` as the library first wrote it: a set, a sorted
+    list and a tuple per block, then a walk over the blocks collecting the
+    points.  It differs from ``make`` in two ways only: the set drops a
+    point listed twice in one block, and negative row sizes pass."""
+    n = upper + lower
+    norm = tuple(sorted(tuple(sorted(set(b))) for b in blocks))
+    seen: list[int] = []
+    for b in norm:
+        if not b:
+            raise ValueError("empty block")
+        seen.extend(b)
+    if sorted(seen) != list(range(n)):
+        raise ValueError(
+            f"blocks must partition the {n} points exactly, got {sorted(seen)}"
+        )
+    col = None
+    if colors is not None:
+        col = tuple(colors)
+        if len(col) != n:
+            raise ColorError(f"expected {n} colors, got {len(col)}")
+        bad = [c for c in col if c not in ("w", "b")]
+        if bad:
+            raise ColorError(f"colors must be 'w' or 'b', got {bad[0]!r}")
+    return Partition(upper, lower, norm, col)
+
+
 def _boundary_positions(p: Partition) -> list[int]:
     """Position of each point on the diagram boundary, walked clockwise.
 
@@ -196,6 +223,92 @@ class TestGrammar:
         assert ("position" in str(info.value)) == (position is not None)
 
 
+BLOCK_KINDS = ("list", "tuple", "set", "generator")
+FLAWS = (
+    "empty block", "missing point", "out of range", "two blocks", "bad color",
+    "repeat in block",
+)
+
+
+def _as_kind(kind: str, points: list[int]):
+    if kind == "generator":
+        return (x for x in points)
+    return {"list": list, "tuple": tuple, "set": set}[kind](points)
+
+
+@st.composite
+def raw_make_args(draw, max_row=4):
+    """Raw data for ``Partition.make``: the blocks shuffled, each block's
+    points unsorted and each block a list, tuple, set or generator, with or
+    without colors, and at most one flaw.  Returns the flaw (or None),
+    whether a repeat within a block reaches make (a set block drops it),
+    and a function building fresh arguments, since a generator is read
+    once."""
+    k = draw(st.integers(0, max_row))
+    l = draw(st.integers(0, max_row))
+    n = k + l
+    blocks: list[list[int]] = []
+    for x in range(n):  # a restricted growth string
+        choice = draw(st.integers(0, len(blocks)))
+        if choice == len(blocks):
+            blocks.append([x])
+        else:
+            blocks[choice].append(x)
+    blocks = [draw(st.permutations(b)) for b in draw(st.permutations(blocks))]
+    colors = draw(st.none() | st.lists(st.sampled_from("wb"), min_size=n, max_size=n))
+    flaw = draw(st.sampled_from((None,) + FLAWS))
+    if not blocks and flaw in ("missing point", "two blocks", "repeat in block"):
+        flaw = "out of range"
+    if flaw == "empty block":
+        blocks.insert(draw(st.integers(0, len(blocks))), [])
+    elif flaw == "missing point":
+        b = draw(st.sampled_from(blocks))
+        b.remove(draw(st.sampled_from(b)))
+    elif flaw == "out of range":
+        point = draw(st.sampled_from((n, n + 1, -1)))
+        if blocks and draw(st.booleans()):
+            draw(st.sampled_from(blocks)).append(point)
+        else:
+            blocks.append([point])
+    elif flaw == "two blocks":
+        x = draw(st.integers(0, n - 1))
+        others = [b for b in blocks if x not in b] + [[]]
+        target = draw(st.sampled_from(others))
+        if not target:
+            blocks.append(target)
+        target.append(x)
+    elif flaw == "bad color":
+        colors = draw(
+            st.lists(st.sampled_from("wb"), min_size=n + 1, max_size=n + 1)
+            | st.lists(st.sampled_from("wbx"), min_size=n, max_size=n).filter(
+                lambda c: "x" in c
+            )
+        )
+    elif flaw == "repeat in block":
+        b = draw(st.sampled_from(blocks))
+        b.insert(draw(st.integers(0, len(b))), draw(st.sampled_from(b)))
+    kinds = [draw(st.sampled_from(BLOCK_KINDS)) for _ in blocks]
+    outer_generator = draw(st.booleans())
+
+    def args():
+        raw = (_as_kind(kind, b) for kind, b in zip(kinds, blocks))
+        return k, l, raw if outer_generator else list(raw), colors
+
+    repeated = any(
+        len(set(b)) < len(b) for kind, b in zip(kinds, blocks) if kind != "set"
+    )
+    if flaw == "repeat in block" and not repeated:
+        flaw = None
+    return flaw, repeated, args
+
+
+def _outcome(make, args):
+    try:
+        return make(*args())
+    except Exception as exc:
+        return type(exc)
+
+
 class TestCanonicalize:
     def test_make_validates(self):
         with pytest.raises(ValueError):
@@ -204,6 +317,38 @@ class TestCanonicalize:
             Partition.make(1, 0, [(0,), (0,)])
         with pytest.raises(ColorError):
             Partition.make(1, 1, [(0, 1)], colors=("w",))
+
+    @pytest.mark.parametrize("upper, lower", [(-1, 2), (2, -1), (-1, -1)])
+    def test_negative_row_sizes_refused(self, upper, lower):
+        with pytest.raises(ArityError, match="nonnegative"):
+            Partition.make(upper, lower, [[0]])
+
+    def test_point_twice_in_one_block_refused(self):
+        with pytest.raises(ValueError, match="partition the 2 points exactly"):
+            Partition.make(1, 1, [[0, 0, 1]])
+
+    def test_former_make_accepted_both(self):
+        # a two-point row built from one point, and a repeat dropped
+        assert serialize(make_by_sets(-1, 2, [[0]])) == ":aa"
+        assert serialize(make_by_sets(1, 1, [[0, 0, 1]])) == "a:a"
+
+    @settings(max_examples=400, deadline=None)
+    @given(raw_make_args())
+    def test_matches_former_make(self, case):
+        flaw, repeated, args = case
+        got, want = _outcome(Partition.make, args), _outcome(make_by_sets, args)
+        if repeated:
+            # the one divergence on nonnegative rows: a repeat fails the
+            # exact cover, where the former make's set dropped it
+            assert got is ValueError and isinstance(want, Partition)
+        elif isinstance(want, Partition):
+            assert flaw is None
+            assert got == want and hash(got) == hash(want)
+            assert type(got.blocks) is tuple
+            assert all(type(b) is tuple for b in got.blocks)
+        else:
+            assert flaw is not None
+            assert got is want
 
 
 class TestStats:
