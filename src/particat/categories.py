@@ -23,8 +23,10 @@ decided against the bounded closure and queries beyond the bound raise
 computed in one-row form: rotation is a bijection from P(k, l) to P(0, k + l)
 (a rotated point flips its color), so a category is given by its one-row
 words, which are closed under cyclic rotation, reflection and nested gluing.
-A closure of more than :data:`CLOSURE_CAP` words raises
-:class:`BoundsExceededError`.
+Words, their gluing and the diagrams read back off them come from
+:mod:`particat.partition`, whose composition glues the same way.  A bound
+below 2 or below a generator's points raises ``ValueError``, and a closure
+of more than :data:`CLOSURE_CAP` words raises :class:`BoundsExceededError`.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .partition import (
     ArityError,
     ColorError,
     Partition,
+    Word,
     all_blocks_even,
     all_set_partitions,
     blocks_at_most_two,
@@ -46,16 +49,20 @@ from .partition import (
     is_noncrossing,
     is_pair,
     parse_partition,
-    rotate,
     serialize,
     tensor,
     WHITE,
     BLACK,
+    _flip,
+    _from_word,
+    _glue,
+    _relabel,
+    _word,
 )
 
-# closure() calls neither compose nor tensor.  Both stay bound here, where
-# the operation-budget test and the benchmark's tracer count calls made
-# through this module.
+# closure() glues words as compose() does, with _glue, and calls neither
+# compose nor tensor.  Both stay bound here, where the operation-budget test
+# and the benchmark's tracer count calls made through this module.
 
 __all__ = [
     "CategorySpec",
@@ -177,39 +184,11 @@ _CLOSURE_CACHE: dict[CategorySpec, frozenset[Partition]] = {}
 # default bound of 10 would need 3,562.
 CLOSURE_CAP = 1_000
 
-# A one-row word: block labels numbered by first appearance, and the point
-# colors (None in uncolored mode).
-Word = tuple[tuple[int, ...], Optional[tuple[str, ...]]]
-
-_FLIP = {WHITE: BLACK, BLACK: WHITE}
-
-
-def _relabel(labels: Iterable[int]) -> tuple[int, ...]:
-    seen: dict[int, int] = {}
-    return tuple([seen.setdefault(x, len(seen)) for x in labels])
-
-
-def _word(p: Partition) -> Word:
-    """The word of ``p``: k ``ul`` rotations take P(k, l) to P(0, k + l), so
-    the upper points come right to left with flipped colors, then the lower
-    points left to right."""
-    for _ in range(p.upper):
-        p = rotate(p, "ul")
-    return tuple(p.block_of()), p.colors
-
 
 def _diagrams(word: Word) -> Iterator[Partition]:
-    """The n + 1 two-row diagrams of a word of n points, by ``ll`` rotations."""
-    labels, colors = word
-    blocks: dict[int, list[int]] = {}
-    for i, x in enumerate(labels):
-        blocks.setdefault(x, []).append(i)
-    # labels number blocks by first appearance, so these are canonical
-    p = Partition(0, len(labels), tuple(map(tuple, blocks.values())), colors)
-    yield p
-    for _ in labels:
-        p = rotate(p, "ll")
-        yield p
+    """The n + 1 two-row diagrams of a word of n points, one per cut."""
+    for k in range(len(word[0]) + 1):
+        yield _from_word(word, k)
 
 
 def _turns(word: Word) -> list[Word]:
@@ -232,45 +211,8 @@ def _reflect(word: Word) -> Word:
     labels, colors = word
     return (
         _relabel(reversed(labels)),
-        None if colors is None else tuple(_FLIP[c] for c in reversed(colors)),
+        None if colors is None else tuple(map(_flip, reversed(colors))),
     )
-
-
-def _glue(x: Word, y: Word, m: int) -> Optional[Word]:
-    """Glue the last m points of x to the first m points of y, x[a-1-i] to
-    y[i], and keep the rest: x[:a-m] followed by y[m:].
-
-    This is composition in one-row form.  Blocks that meet merge, and
-    components made of glued points only vanish (they are the removed loops).
-    In colored mode the two points of each glued pair need opposite colors;
-    otherwise there is no gluing and None is returned.
-    """
-    xs, xc = x
-    ys, yc = y
-    a = len(xs)
-    if xc is not None:
-        assert yc is not None
-        for i in range(m):
-            if xc[a - 1 - i] == yc[i]:
-                return None
-    # union-find over the blocks: x's labels, then y's shifted by a (a label
-    # numbers a block, so it is below its word's length)
-    parent = list(range(a + len(ys)))
-    for i in range(m):
-        r = xs[a - 1 - i]
-        while parent[r] != r:
-            r = parent[r]
-        s = ys[i] + a
-        while parent[s] != s:
-            s = parent[s]
-        parent[s] = r
-    kept = list(xs[: a - m]) + [v + a for v in ys[m:]]
-    for i, v in enumerate(kept):
-        while parent[v] != v:
-            v = parent[v]
-        kept[i] = v
-    colors = None if xc is None else xc[: a - m] + yc[m:]
-    return _relabel(kept), colors
 
 
 def closure(
@@ -293,7 +235,9 @@ def closure(
     formed: each further glued pair is a gluing with the strand (a cap) of a
     word within the bound.
 
-    Raises :class:`BoundsExceededError` once the closure holds more than
+    Raises ``ValueError`` when the bound is below 2, the points of the
+    strand, or below the points of a generator, and
+    :class:`BoundsExceededError` once the closure holds more than
     :data:`CLOSURE_CAP` words.
     """
     gens = tuple(generators)
@@ -301,14 +245,20 @@ def closure(
     for g in gens:
         if g.colored != colored:
             raise ColorError("generators mix colored and uncolored diagrams")
+    need = max([2, *(g.n_points for g in gens)])
+    if max_points < need:
+        raise ValueError(
+            f"the point bound {max_points} is below {need}: the strand and "
+            "every generator must fit it"
+        )
     words: list[Word] = []
     known: set[Word] = set()
     # per orbit: the rotations of its first word, and the number of words of
     # the orbits up to and including it
     orbits: list[tuple[list[Word], int]] = []
 
-    def add(word: Optional[Word]) -> None:
-        if word is None or len(word[0]) > max_points or word in known:
+    def add(word: Word) -> None:
+        if word in known:
             return
         turns = _turns(word)
         orbit = turns + [w for w in _turns(_reflect(word)) if w not in turns]
@@ -321,20 +271,28 @@ def closure(
             )
         orbits.append((turns, len(words)))
 
+    def glue(x: Word, y: Word, m: int) -> None:
+        glued = _glue(x, y, m)
+        if glued is not None:
+            add(glued[0])
+
+    # words are kept canonical; the strand's labels (0, 0) are already
     strand = _word(identity(1, colors=WHITE if colored else None))
     add(strand)
     for g in gens:
-        add(_word(g))
+        labels, colors = _word(g)
+        add((_relabel(labels), colors))
     caps = _turns(strand)
     for turns, end in orbits:  # grows while it is walked
         for x in turns:
             a = len(x[0])
             if a >= 2:
                 for cap in caps:
-                    add(_glue(x, cap, 2))
+                    glue(x, cap, 2)
             for y in words[:end]:
-                m = max(0, (a + len(y[0]) - max_points + 1) // 2)
-                add(_glue(x, y, m))
+                # the fewest glued points that fit the bound: never more
+                # than either word has, since both words fit it
+                glue(x, y, max(0, (a + len(y[0]) - max_points + 1) // 2))
     return frozenset(p for w in words for p in _diagrams(w))
 
 

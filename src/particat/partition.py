@@ -25,6 +25,11 @@ result together with the number of removed loops, i.e. connected components
 of the gluing that consist of middle points only.  Each such loop contributes
 a factor N in the associated matrix calculus, so the count is tracked exactly.
 
+Rotation maps P(k, l) one-to-one onto P(0, k + l), so a diagram is its
+one-row word.  Composing glues two words (the one gluing routine, which the
+closure of :mod:`particat.categories` shares), and rotating reads the word
+back with the cut between the rows moved one point.
+
 Points may optionally carry a color (``w`` or ``b``); colored and uncolored
 diagrams never mix.  Colors travel with their points under every operation
 and flip when a point changes row under rotation.
@@ -215,6 +220,91 @@ def identity(k: int, colors: Optional[Sequence[str]] = None) -> Partition:
 
 
 # ---------------------------------------------------------------------------
+# one-row words
+
+# A one-row word: a block label per point, each below the word's length, and
+# the point colors (None in uncolored mode).  Words that differ only in the
+# numbering of their labels stand for one diagram; a canonical word numbers
+# them by first appearance (:func:`_relabel`).
+Word = tuple[tuple[int, ...], Optional[tuple[str, ...]]]
+
+
+def _relabel(labels: Iterable[int]) -> tuple[int, ...]:
+    """Number the labels by first appearance."""
+    seen: dict[int, int] = {}
+    return tuple([seen.setdefault(x, len(seen)) for x in labels])
+
+
+def _word(p: Partition) -> Word:
+    """The word of ``p``, the diagram in P(0, k + l) that k ``ul`` rotations
+    take it to, read off the blocks and labelled by block index: the upper
+    points right to left with flipped colors, then the lower points left to
+    right."""
+    k = p.upper
+    owner = p.block_of()
+    colors = p.colors
+    if colors is not None:
+        colors = tuple(map(_flip, colors[:k][::-1])) + colors[k:]
+    return tuple(owner[:k][::-1] + owner[k:]), colors
+
+
+def _from_word(word: Word, k: int) -> Partition:
+    """The diagram with k upper points whose word is ``word``; for each k
+    from 0 to the word's length, the inverse of :func:`_word` up to the
+    numbering of the labels."""
+    labels, colors = word
+    blocks: dict[int, list[int]] = {}
+    # scanning the points in id order lists each block ascending and the
+    # blocks by their least point, so the blocks come out canonical
+    for x, label in enumerate(labels[:k][::-1] + labels[k:]):
+        blocks.setdefault(label, []).append(x)
+    if colors is not None:
+        colors = tuple(map(_flip, colors[:k][::-1])) + colors[k:]
+    return Partition(k, len(labels) - k, tuple(map(tuple, blocks.values())), colors)
+
+
+def _glue(x: Word, y: Word, m: int) -> Optional[tuple[Word, int]]:
+    """Glue the last m points of x to the first m points of y, x[a-1-i] to
+    y[i], and keep the rest: x[:a-m] followed by y[m:].  Returns the glued
+    word, canonical, and the number of glued pairs that merged two blocks.
+
+    This is composition in one-row form.  Blocks that meet merge, and
+    components made of glued points only vanish (they are the removed loops).
+    In colored mode the two points of each glued pair need opposite colors;
+    otherwise there is no gluing and None is returned.
+    """
+    xs, xc = x
+    ys, yc = y
+    a = len(xs)
+    if xc is not None:
+        assert yc is not None
+        for i in range(m):
+            if xc[a - 1 - i] == yc[i]:
+                return None
+    # union-find over the blocks: x's labels, then y's shifted by a (a label
+    # is below its word's length)
+    parent = list(range(a + len(ys)))
+    merges = 0
+    for i in range(m):
+        r = xs[a - 1 - i]
+        while parent[r] != r:
+            r = parent[r]
+        s = ys[i] + a
+        while parent[s] != s:
+            s = parent[s]
+        if r != s:
+            parent[s] = r
+            merges += 1
+    kept = list(xs[: a - m]) + [v + a for v in ys[m:]]
+    for i, v in enumerate(kept):
+        while parent[v] != v:
+            v = parent[v]
+        kept[i] = v
+    colors = None if xc is None else xc[: a - m] + yc[m:]
+    return (_relabel(kept), colors), merges
+
+
+# ---------------------------------------------------------------------------
 # the four category operations
 
 
@@ -248,6 +338,10 @@ def compose(bottom: Partition, top: Partition) -> CompositionResult:
     points and are removed.  The result lives in P(top.upper, bottom.lower).
     Removed loops are the connected components of the gluing consisting of
     middle points only (an isolated middle point counts as one loop).
+
+    The words of the two diagrams are glued over the middle points
+    (:func:`_glue`).  Each gluing that merges two blocks removes one, so the
+    blocks that are neither merged away nor left in the result are the loops.
     """
     if top.lower != bottom.upper:
         raise ArityError(
@@ -258,63 +352,12 @@ def compose(bottom: Partition, top: Partition) -> CompositionResult:
         raise ColorError("cannot compose colored with uncolored")
     if top.colored and top.lower_colors() != bottom.upper_colors():
         raise ColorError("middle-row colors do not match")
-    k = top.upper
-    mid = top.lower
-    m = bottom.lower
-    total = k + mid + m
-    # node ids: 0..k-1 result uppers, k..k+mid-1 middles, k+mid.. result lowers
-    parent = list(range(total))
-
-    def union(x: int, y: int) -> None:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        while parent[y] != y:
-            parent[y] = parent[parent[y]]
-            y = parent[y]
-        if x != y:
-            parent[y] = x
-
-    for b in top.blocks:
-        first = b[0]
-        for x in b[1:]:
-            union(first, x)
-    bu = bottom.upper
-    shift = k + mid - bu
-    for b in bottom.blocks:
-        first = b[0] + k if b[0] < bu else b[0] + shift
-        for x in b[1:]:
-            union(first, x + k if x < bu else x + shift)
-
-    # collect components in one ascending scan; within a component the node
-    # ids come out ascending, so each block tuple is ascending already and
-    # only the outer block order needs a final sort
-    comps: dict[int, list[int]] = {}
-    for node in range(total):
-        r = parent[node]
-        while parent[r] != r:
-            r = parent[r]
-        grp = comps.get(r)
-        if grp is None:
-            comps[r] = [node]
-        else:
-            grp.append(node)
-
-    blocks = []
-    loops = 0
-    km = k + mid
-    for members in comps.values():
-        outer = [x if x < k else x - mid for x in members if x < k or x >= km]
-        if outer:
-            blocks.append(tuple(outer))
-        else:
-            loops += 1
-    blocks.sort()
-    colors = None
-    if top.colored:
-        assert top.colors is not None and bottom.colors is not None
-        colors = top.colors[:k] + bottom.colors[bu:]
-    return CompositionResult(Partition(k, m, tuple(blocks), colors), loops)
+    glued = _glue(_word(top), _word(bottom), top.lower)
+    assert glued is not None  # the middle colors match
+    word, merges = glued
+    p = _from_word(word, top.upper)
+    loops = len(top.blocks) + len(bottom.blocks) - merges - len(p.blocks)
+    return CompositionResult(p, loops)
 
 
 def involution(p: Partition) -> Partition:
@@ -332,14 +375,6 @@ def involution(p: Partition) -> Partition:
     return Partition(l, k, tuple(blocks), colors)
 
 
-def _walk(k: int, l: int) -> list[int]:
-    """Point ids of P(k, l) in clockwise boundary order: the upper row left
-    to right, then the lower row right to left.  Strings can be drawn inside
-    the disk without crossings exactly when no two blocks interleave in this
-    cyclic order, and the two rows are its two arcs."""
-    return [*range(k), *range(k + l - 1, k - 1, -1)]
-
-
 def rotate(p: Partition, corner: Corner) -> Partition:
     """Move one outermost point to the other row, keeping all strings.
 
@@ -348,33 +383,23 @@ def rotate(p: Partition, corner: Corner) -> Partition:
     ``ur``: rightmost upper point becomes rightmost lower point.
     ``lr``: rightmost lower point becomes rightmost upper point.
 
-    One rule serves all four corners: the rows are the two arcs of the
-    clockwise boundary walk (:func:`_walk`), and the cut between them on
-    the named side moves one point along the walk.  In colored mode the
-    moved point's color flips.
+    A rotation keeps the word (:func:`_word`) and moves the cut between the
+    rows: the word is read back with one upper point fewer (``u*``) or more
+    (``l*``).  At a right corner the word is first turned by one point, its
+    first point going to the end (``ur``) or its last to the front
+    (``lr``).  In colored mode the moved point's color flips, since the word
+    holds upper colors flipped.
     """
-    k, l = p.upper, p.lower
-    n = k + l
     up = corner[0] == "u"
-    if (k if up else l) == 0:
+    if (p.upper if up else p.lower) == 0:
         raise ArityError(f"{'upper' if up else 'lower'} row is empty")
-    new_k = k - 1 if up else k + 1
-    # the upper row starts one point later (earlier) on the walk when the
-    # left cut moves; the right cut only changes where it ends
-    start = (1 if up else -1) if corner[1] == "l" else 0
-    new_walk = _walk(new_k, n - new_k)
-    remap = [0] * n
-    for i, x in enumerate(_walk(k, l)):
-        remap[x] = new_walk[(i - start) % n]
-    blocks = tuple(sorted(tuple(sorted(remap[x] for x in b)) for b in p.blocks))
-    colors = None
-    if p.colors is not None:
-        new_colors = [""] * n
-        for x, c in enumerate(p.colors):
-            y = remap[x]
-            new_colors[y] = c if (x < k) == (y < new_k) else _flip(c)
-        colors = tuple(new_colors)
-    return Partition(new_k, n - new_k, blocks, colors)
+    labels, colors = _word(p)
+    if corner[1] != "l":
+        i = 1 if up else -1
+        labels = labels[i:] + labels[:i]
+        if colors is not None:
+            colors = colors[i:] + colors[:i]
+    return _from_word((labels, colors), p.upper - 1 if up else p.upper + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +411,14 @@ def stats(p: Partition) -> PartitionStats:
     b, k = len(p.blocks), p.upper
     t = len([blk for blk in p.blocks if blk[0] < k <= blk[-1]])
     return PartitionStats(b, t, b - t)
+
+
+def _walk(k: int, l: int) -> list[int]:
+    """Point ids of P(k, l) in clockwise boundary order: the upper row left
+    to right, then the lower row right to left.  Strings can be drawn inside
+    the disk without crossings exactly when no two blocks interleave in this
+    cyclic order, and the two rows are its two arcs."""
+    return [*range(k), *range(k + l - 1, k - 1, -1)]
 
 
 def is_noncrossing(p: Partition) -> bool:

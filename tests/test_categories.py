@@ -221,7 +221,8 @@ class TestClosure:
         assert closure(generators, bound) == two_row_closure(generators, bound)
 
     def test_no_two_row_operations(self, monkeypatch):
-        calls = {"compose": 0, "tensor": 0}
+        # wherever bound: the diagrams of a word are read off it, not rotated
+        calls = {"compose": 0, "tensor": 0, "rotate": 0}
         for name in calls:
             original = getattr(partition, name)
 
@@ -230,9 +231,35 @@ class TestClosure:
                 return _original(*args)
 
             for module in (partition, categories):
-                monkeypatch.setattr(module, name, counted)
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
         assert len(closure((parse_partition(":a"),), 7)) == 1569
-        assert calls == {"compose": 0, "tensor": 0}
+        assert calls == {"compose": 0, "tensor": 0, "rotate": 0}
+
+    @pytest.mark.parametrize("bound", [-1, 0, 1])
+    def test_bound_below_the_strand_is_refused(self, bound):
+        # the strand has two points: below that, the closure would be empty
+        for gens in ((), (parse_partition(":a"),)):
+            with pytest.raises(ValueError, match="below 2"):
+                closure(gens, bound)
+
+    @pytest.mark.parametrize(
+        "gens, bound", [((":aaa",), 2), (("ab:ba",), 3), (("a:a", "aaa:aa"), 4)]
+    )
+    def test_generator_beyond_the_bound_is_refused(self, gens, bound):
+        generators = tuple(parse_partition(g) for g in gens)
+        need = max(g.n_points for g in generators)
+        with pytest.raises(ValueError, match=f"below {need}: the strand"):
+            closure(generators, bound)
+        spec = CategorySpec(generators=generators, max_points=bound)
+        with pytest.raises(ValueError, match=f"below {need}: the strand"):
+            membership(spec, parse_partition(":"))
+
+    def test_bound_fitting_every_generator_is_kept(self):
+        # the bound may equal the largest generator, and the strand's 2
+        assert parse_partition(":aaa") in closure((parse_partition(":aaa"),), 3)
+        strand = {parse_partition(t) for t in (":", ":aa", "a:a", "aa:")}
+        assert closure((), 2) == strand
 
     def test_cap_refuses_large_closures(self, monkeypatch):
         # the cap counts one-row words: aa:aa within 4 points has five

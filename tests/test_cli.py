@@ -170,6 +170,21 @@ class TestMember:
         argv = ["member", "--category", f"gen:{gens}", "--partition", "a:a"]
         assert run_error(capsys, argv) == EXIT_BOUNDS
 
+    @pytest.mark.parametrize("bound, code", [(2, EXIT_PARSE), (4, EXIT_OK)])
+    def test_generator_beyond_bound_exit(self, capsys, tmp_path, bound, code):
+        # a generator larger than the bound is refused, not silently dropped
+        gens = tmp_path / "g.txt"
+        gens.write_text(":aaa\n", encoding="utf-8")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_points": bound}), encoding="utf-8")
+        argv = ["--config", str(cfg), "member", "--category", f"gen:{gens}",
+                "--partition", ":a"]
+        if code == EXIT_OK:
+            got, doc = run_json(capsys, argv)
+            assert got == EXIT_OK and doc["result"] is True
+        else:
+            assert run_error(capsys, argv) == code
+
     def test_parse_error_exit(self, capsys):
         assert (
             run(["member", "--category", "nc", "--partition", "a1b"])

@@ -7,15 +7,23 @@ It also checks that the through-block factorization p = q* r s recomposes
 to p, in both color modes, with building diagrams q and s and q the upper
 building diagram of p turned over, and that the block readings of
 stacking q* m s, domination and projectivity agree with their definitions
-by composition beyond the arities tested exhaustively.
+by composition beyond the arities tested exhaustively.  Composition, which
+glues words, is checked against the point-level union-find it replaced.
 """
 
+import re
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from particat.partition import (
     ArityError,
+    ColorError,
+    CompositionResult,
     Partition,
+    _from_word,
+    _relabel,
+    _word,
     compose,
     involution,
     is_projective,
@@ -80,6 +88,90 @@ def chains(draw):
 
 
 any_partition = st.booleans().flatmap(partitions)
+
+# composable pairs (top, bottom), colored alike or uncolored
+composable = st.booleans().flatmap(partitions).flatmap(
+    lambda top: st.tuples(st.just(top), below(top))
+)
+
+
+# ---------------------------------------------------------------------------
+# oracle: composition by a union-find over points, the library's former
+# implementation
+
+
+def compose_by_union_find(bottom: Partition, top: Partition) -> CompositionResult:
+    """Stack ``top`` over ``bottom``: a union-find over the upper, middle and
+    lower points, whose components without an upper or lower point are the
+    removed loops."""
+    if top.lower != bottom.upper:
+        raise ArityError(
+            f"cannot compose: top has {top.lower} lower points, "
+            f"bottom has {bottom.upper} upper points"
+        )
+    if top.colored != bottom.colored:
+        raise ColorError("cannot compose colored with uncolored")
+    if top.colored and top.lower_colors() != bottom.upper_colors():
+        raise ColorError("middle-row colors do not match")
+    k, mid, m = top.upper, top.lower, bottom.lower
+    # node ids: 0..k-1 result uppers, k..k+mid-1 middles, k+mid.. result lowers
+    parent = list(range(k + mid + m))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for b in top.blocks:
+        for x in b[1:]:
+            parent[find(x)] = find(b[0])
+    for b in bottom.blocks:
+        # bottom's upper points are the middles, its lower points follow them
+        for x in b[1:]:
+            parent[find(x + k)] = find(b[0] + k)
+    comps: dict[int, list[int]] = {}
+    for node in range(k + mid + m):
+        comps.setdefault(find(node), []).append(node)
+    blocks, loops = [], 0
+    for members in comps.values():
+        outer = [x if x < k else x - mid for x in members if x < k or x >= k + mid]
+        if outer:
+            blocks.append(tuple(outer))
+        else:
+            loops += 1
+    colors = None
+    if top.colors is not None and bottom.colors is not None:
+        colors = top.colors[:k] + bottom.colors[bottom.upper :]
+    return CompositionResult(Partition(k, m, tuple(sorted(blocks)), colors), loops)
+
+
+@settings(max_examples=300, deadline=None)
+@given(composable)
+@example((parse_partition("a:bb"), parse_partition("aa:")))  # a loop
+@example((parse_partition("a:b"), parse_partition("a:")))  # an isolated middle
+@example((parse_partition("ab:cc"), parse_partition("ab:ab")))  # two loops
+@example((parse_partition(":"), parse_partition(":")))
+@example((parse_partition("a:"), parse_partition(":a")))  # no middle points
+@example((parse_partition("@:aa@wb"), parse_partition("aa@wb:@")))
+@example((parse_partition("ab@bw:ab@wb"), parse_partition("ab@wb:ba@bw")))
+def test_compose_matches_union_find(pair):
+    top, bottom = pair
+    got = compose(bottom, top)
+    want = compose_by_union_find(bottom, top)
+    assert got == want and type(got.partition) is Partition
+
+
+def test_compose_refusals_match_union_find():
+    white, black = parse_partition("a@w:a@w"), parse_partition("a@b:a@b")
+    for bottom, top in (
+        (parse_partition("a:a"), parse_partition("ab:ab")),
+        (white, parse_partition("a:a")),
+        (black, white),
+    ):
+        with pytest.raises((ArityError, ColorError)) as got:
+            compose(bottom, top)
+        with pytest.raises(got.type, match=re.escape(str(got.value))):
+            compose_by_union_find(bottom, top)
 
 
 def projective_from(q: Partition) -> Partition:
@@ -227,6 +319,23 @@ def test_ul_rotations_give_the_word(p):
     for _ in range(k):
         q = rotate(q, "ul")
     assert q == word
+    # the word read off the blocks is the one-row diagram's, up to the
+    # numbering of its labels
+    labels, colors = _word(p)
+    assert (_relabel(labels), colors) == (tuple(word.block_of()), word.colors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(partitions(True, max_lower=2 * MAX_ROW), st.booleans())
+def test_word_round_trip(p, colored):
+    if not colored:
+        p = Partition.make(p.upper, p.lower, p.blocks)
+    word = _word(p)
+    assert _from_word(word, p.upper) == p
+    # a diagram of the word at every cut, each with that word
+    for k in range(p.n_points + 1):
+        labels, colors = _word(_from_word(word, k))
+        assert (_relabel(labels), colors) == (_relabel(word[0]), word[1])
 
 
 @settings(max_examples=80, deadline=None)

@@ -26,6 +26,8 @@ from particat.partition import (
     stats,
     tensor,
     _flip,
+    _walk,
+    _word,
 )
 from particat import partition as partition_module, structure
 from particat.categories import (
@@ -33,7 +35,6 @@ from particat.categories import (
     _colorings,
     _diagrams,
     _projectives_uncached,
-    _word,
     enumerate_in,
 )
 from particat.fusion import _block_as_partition, fusion
@@ -46,8 +47,8 @@ P5_NESTED = Partition.make(4, 4, [(0, 3), (1, 2), (4, 7), (5, 6)])
 
 
 # ---------------------------------------------------------------------------
-# oracles: rotation by per-corner remap tables and the pairwise crossing test,
-# the library's former implementations
+# oracles: rotation by per-corner remap tables and by the boundary-walk remap,
+# and the pairwise crossing test, the library's former implementations
 
 
 def rotate_by_tables(p: Partition, corner: str) -> Partition:
@@ -107,6 +108,34 @@ def rotate_by_tables(p: Partition, corner: str) -> Partition:
             new_colors[new] = _flip(c) if old == moved else c
         colors = tuple(new_colors)
     return Partition.make(new_k, new_l, blocks, colors)
+
+
+def rotate_by_walk(p: Partition, corner: str) -> Partition:
+    """Move one outermost point to the other row: the rows are the two arcs
+    of the clockwise boundary walk, and the cut between them on the named
+    side moves one point along the walk; a moved point's color flips."""
+    k, l = p.upper, p.lower
+    n = k + l
+    up = corner[0] == "u"
+    if (k if up else l) == 0:
+        raise ArityError(f"{'upper' if up else 'lower'} row is empty")
+    new_k = k - 1 if up else k + 1
+    # the upper row starts one point later (earlier) on the walk when the
+    # left cut moves; the right cut only changes where it ends
+    start = (1 if up else -1) if corner[1] == "l" else 0
+    new_walk = _walk(new_k, n - new_k)
+    remap = [0] * n
+    for i, x in enumerate(_walk(k, l)):
+        remap[x] = new_walk[(i - start) % n]
+    blocks = tuple(sorted(tuple(sorted(remap[x] for x in b)) for b in p.blocks))
+    colors = None
+    if p.colors is not None:
+        new_colors = [""] * n
+        for x, c in enumerate(p.colors):
+            y = remap[x]
+            new_colors[y] = c if (x < k) == (y < new_k) else _flip(c)
+        colors = tuple(new_colors)
+    return Partition(new_k, n - new_k, blocks, colors)
 
 
 def make_by_sets(upper, lower, blocks, colors=None) -> Partition:
@@ -551,10 +580,18 @@ def colored_partitions(draw, max_row=4):
 
 
 class TestBoundaryWalk:
-    """The boundary walk against the per-corner tables and the pairwise
-    crossing test it replaced."""
+    """Rotation, which reads the word back at a moved cut, and the crossing
+    test along the boundary walk, against the per-corner tables, the walk
+    remap and the pairwise crossing test they replaced; an empty row's
+    refusal included."""
 
     CORNERS = ("ul", "ll", "ur", "lr")
+
+    def assert_rotations_match(self, p: Partition) -> None:
+        for corner in self.CORNERS:
+            got = _rotation_or_error(rotate, p, corner)
+            assert got == _rotation_or_error(rotate_by_tables, p, corner)
+            assert got == _rotation_or_error(rotate_by_walk, p, corner)
 
     def test_matches_oracles_up_to_eight_points(self):
         for n in range(9):
@@ -562,19 +599,13 @@ class TestBoundaryWalk:
                 for k in range(n + 1):
                     p = Partition(k, n - k, tuple(sorted(blocks)))
                     assert is_noncrossing(p) == is_noncrossing_pairwise(p)
-                    for corner in self.CORNERS:
-                        assert _rotation_or_error(
-                            rotate, p, corner
-                        ) == _rotation_or_error(rotate_by_tables, p, corner)
+                    self.assert_rotations_match(p)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(colored_partitions())
     def test_matches_oracles_colored(self, p):
         assert is_noncrossing(p) == is_noncrossing_pairwise(p)
-        for corner in self.CORNERS:
-            assert _rotation_or_error(rotate, p, corner) == _rotation_or_error(
-                rotate_by_tables, p, corner
-            )
+        self.assert_rotations_match(p)
 
 
 def projective_by_composition(p: Partition) -> bool:
