@@ -25,8 +25,9 @@ computed in one-row form: rotation is a bijection from P(k, l) to P(0, k + l)
 words, which are closed under cyclic rotation, reflection and nested gluing.
 Words, their gluing and the diagrams read back off them come from
 :mod:`particat.partition`, whose composition glues the same way.  A bound
-below 2 or below a generator's points raises ``ValueError``, and a closure
-of more than :data:`CLOSURE_CAP` words raises :class:`BoundsExceededError`.
+below 2 or below a generator's points raises ``ValueError`` as the spec is
+built, before any query, and a closure of more than :data:`CLOSURE_CAP`
+words raises :class:`BoundsExceededError`.
 """
 
 from __future__ import annotations
@@ -98,6 +99,20 @@ class UndecidableMembershipError(RuntimeError):
     """Membership cannot be decided within the bound of a generated category."""
 
 
+def _check_generators(gens: tuple[Partition, ...], max_points: int) -> None:
+    """Refuse generators of both color modes (:class:`ColorError`) and a
+    point bound below 2, the points of the strand, or below the points of a
+    generator (``ValueError``)."""
+    if len({g.colored for g in gens}) > 1:
+        raise ColorError("generators mix colored and uncolored diagrams")
+    need = max([2, *(g.n_points for g in gens)])
+    if max_points < need:
+        raise ValueError(
+            f"the point bound {max_points} is below {need}: the strand and "
+            "every generator must fit it"
+        )
+
+
 @dataclass(frozen=True)
 class CategorySpec:
     """Either a named built-in or a generator list with a point bound."""
@@ -113,9 +128,7 @@ class CategorySpec:
             if self.generators:
                 raise ValueError("builtin categories take no generators")
         else:
-            modes = {g.colored for g in self.generators}
-            if len(modes) > 1:
-                raise ColorError("generators mix colored and uncolored diagrams")
+            _check_generators(self.generators, self.max_points)
 
     @staticmethod
     def named(builtin: str) -> "CategorySpec":
@@ -241,16 +254,8 @@ def closure(
     :data:`CLOSURE_CAP` words.
     """
     gens = tuple(generators)
+    _check_generators(gens, max_points)
     colored = bool(gens) and gens[0].colored
-    for g in gens:
-        if g.colored != colored:
-            raise ColorError("generators mix colored and uncolored diagrams")
-    need = max([2, *(g.n_points for g in gens)])
-    if max_points < need:
-        raise ValueError(
-            f"the point bound {max_points} is below {need}: the strand and "
-            "every generator must fit it"
-        )
     words: list[Word] = []
     known: set[Word] = set()
     # per orbit: the rotations of its first word, and the number of words of

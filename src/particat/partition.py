@@ -28,7 +28,10 @@ a factor N in the associated matrix calculus, so the count is tracked exactly.
 Rotation maps P(k, l) one-to-one onto P(0, k + l), so a diagram is its
 one-row word.  Composing glues two words (the one gluing routine, which the
 closure of :mod:`particat.categories` shares), and rotating reads the word
-back with the cut between the rows moved one point.
+back with the cut between the rows moved one point.  The word runs along
+the boundary, so the crossing test scans it.  Blocks are built from a block
+label per point by one reader, :func:`_blocks`, which reading a word back,
+the involution and the enumeration of set partitions share.
 
 Points may optionally carry a color (``w`` or ``b``); colored and uncolored
 diagrams never mix.  Colors travel with their points under every operation
@@ -248,19 +251,26 @@ def _word(p: Partition) -> Word:
     return tuple(owner[:k][::-1] + owner[k:]), colors
 
 
+def _blocks(labels: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """The canonical blocks of a block label per point, given in id order:
+    the points of each label, grouped in order of first appearance."""
+    blocks: dict[int, list[int]] = {}
+    # scanning the points in id order lists each block ascending and the
+    # blocks by their least point, so the blocks come out canonical
+    for x, label in enumerate(labels):
+        blocks.setdefault(label, []).append(x)
+    return tuple(map(tuple, blocks.values()))
+
+
 def _from_word(word: Word, k: int) -> Partition:
     """The diagram with k upper points whose word is ``word``; for each k
     from 0 to the word's length, the inverse of :func:`_word` up to the
     numbering of the labels."""
     labels, colors = word
-    blocks: dict[int, list[int]] = {}
-    # scanning the points in id order lists each block ascending and the
-    # blocks by their least point, so the blocks come out canonical
-    for x, label in enumerate(labels[:k][::-1] + labels[k:]):
-        blocks.setdefault(label, []).append(x)
     if colors is not None:
         colors = tuple(map(_flip, colors[:k][::-1])) + colors[k:]
-    return Partition(k, len(labels) - k, tuple(map(tuple, blocks.values())), colors)
+    blocks = _blocks(labels[:k][::-1] + labels[k:])
+    return Partition(k, len(labels) - k, blocks, colors)
 
 
 def _glue(x: Word, y: Word, m: int) -> Optional[tuple[Word, int]]:
@@ -309,25 +319,20 @@ def _glue(x: Word, y: Word, m: int) -> Optional[tuple[Word, int]]:
 
 
 def tensor(p: Partition, q: Partition) -> Partition:
-    """Horizontal concatenation: q is placed to the right of p."""
+    """Horizontal concatenation: q is placed to the right of p.  The ids
+    shift block by block, which measured faster than through words or
+    point labels."""
     if p.colored != q.colored:
         raise ColorError("cannot tensor colored with uncolored")
     k, l = p.upper, p.lower
     k2, l2 = q.upper, q.lower
-
-    def shift(x: int) -> int:
-        # q's upper points slide right by k, its lower points by k + l
-        return x + k if x < k2 else x + k + l
-
     blocks = [tuple(x if x < k else x + k2 for x in b) for b in p.blocks]
-    blocks += [tuple(shift(x) for x in b) for b in q.blocks]
+    blocks += [tuple(x + k if x < k2 else x + k + l for x in b) for b in q.blocks]
     blocks.sort()
     colors = None
-    if p.colored:
-        assert p.colors is not None and q.colors is not None
-        colors = (
-            p.colors[:k] + q.colors[:k2] + p.colors[k:] + q.colors[k2:]
-        )
+    if p.colors is not None:
+        assert q.colors is not None
+        colors = p.colors[:k] + q.colors[:k2] + p.colors[k:] + q.colors[k2:]
     return Partition(k + k2, l + l2, tuple(blocks), colors)
 
 
@@ -361,18 +366,16 @@ def compose(bottom: Partition, top: Partition) -> CompositionResult:
 
 
 def involution(p: Partition) -> Partition:
-    """Turn the diagram upside down; colors stay attached to their points."""
-    k, l = p.upper, p.lower
+    """Turn the diagram upside down; colors stay attached to their points.
 
-    def swap(x: int) -> int:
-        return x + l if x < k else x - k
-
-    blocks = sorted(tuple(sorted(swap(x) for x in b)) for b in p.blocks)
-    colors = None
-    if p.colored:
-        assert p.colors is not None
-        colors = p.colors[k:] + p.colors[:k]
-    return Partition(l, k, tuple(blocks), colors)
+    The lower row becomes the upper one, so the blocks are read
+    (:func:`_blocks`) off the point labels with the two rows swapped."""
+    k = p.upper
+    owner = p.block_of()
+    colors = p.colors
+    if colors is not None:
+        colors = colors[k:] + colors[:k]
+    return Partition(p.lower, k, _blocks(owner[k:] + owner[:k]), colors)
 
 
 def rotate(p: Partition, corner: Corner) -> Partition:
@@ -413,23 +416,14 @@ def stats(p: Partition) -> PartitionStats:
     return PartitionStats(b, t, b - t)
 
 
-def _walk(k: int, l: int) -> list[int]:
-    """Point ids of P(k, l) in clockwise boundary order: the upper row left
-    to right, then the lower row right to left.  Strings can be drawn inside
-    the disk without crossings exactly when no two blocks interleave in this
-    cyclic order, and the two rows are its two arcs."""
-    return [*range(k), *range(k + l - 1, k - 1, -1)]
-
-
 def is_noncrossing(p: Partition) -> bool:
-    """True when no two blocks interleave on the clockwise boundary walk
-    (:func:`_walk`).  One stack pass along the walk: a point must open a
-    new block or continue the innermost block still open."""
-    owner = p.block_of()
+    """True when no two blocks interleave along the boundary, which the
+    word (:func:`_word`) walks counterclockwise from the upper right corner.
+    One stack pass along the word: a point must open a new block or continue
+    the innermost block still open."""
     left = [len(b) for b in p.blocks]
     stack: list[int] = []
-    for x in _walk(p.upper, p.lower):
-        b = owner[x]
+    for b in _word(p)[0]:
         if left[b] == len(p.blocks[b]):
             stack.append(b)
         elif stack[-1] != b:
@@ -559,7 +553,9 @@ def parse_partition(text: str) -> Partition:
                     k + 1 + pos if pos < k else lower_start + l + 1 + pos - k,
                 )
         colors = tuple(upper_colors + lower_colors)
-    # letters come in order of first appearance, so the blocks are canonical
+    # letters come in order of first appearance, so the blocks are canonical;
+    # the loop checks and groups the letters in one pass, which measured
+    # faster on many short texts than a check followed by _blocks
     return Partition(k, l, tuple(map(tuple, blocks.values())), colors)
 
 
@@ -568,27 +564,20 @@ def parse_partition(text: str) -> Partition:
 
 
 def all_set_partitions(n: int):
-    """Yield all set partitions of 0..n-1 via restricted growth strings."""
-    if n == 0:
-        yield ()
-        return
+    """Yield all set partitions of 0..n-1 via restricted growth strings,
+    each read into canonical blocks by :func:`_blocks`."""
     rgs = [0] * n
-
-    def emit() -> tuple[tuple[int, ...], ...]:
-        groups: dict[int, list[int]] = {}
-        for i, g in enumerate(rgs):
-            groups.setdefault(g, []).append(i)
-        return tuple(tuple(g) for g in groups.values())
 
     def rec(i: int, max_used: int):
         if i == n:
-            yield emit()
+            yield _blocks(rgs)
             return
         for g in range(max_used + 2):
             rgs[i] = g
             yield from rec(i + 1, max(max_used, g))
 
-    yield from rec(1, 0)
+    # with no block used yet, the first point opens block 0; n = 0 yields ()
+    yield from rec(0, -1)
 
 
 def random_partition(rng, k: int, l: int, colored: bool = False) -> Partition:

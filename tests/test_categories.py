@@ -251,9 +251,8 @@ class TestClosure:
         need = max(g.n_points for g in generators)
         with pytest.raises(ValueError, match=f"below {need}: the strand"):
             closure(generators, bound)
-        spec = CategorySpec(generators=generators, max_points=bound)
         with pytest.raises(ValueError, match=f"below {need}: the strand"):
-            membership(spec, parse_partition(":"))
+            CategorySpec(generators=generators, max_points=bound)
 
     def test_bound_fitting_every_generator_is_kept(self):
         # the bound may equal the largest generator, and the strand's 2

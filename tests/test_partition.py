@@ -4,7 +4,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from particat.partition import (
     ArityError,
@@ -25,8 +25,8 @@ from particat.partition import (
     serialize,
     stats,
     tensor,
+    _blocks,
     _flip,
-    _walk,
     _word,
 )
 from particat import partition as partition_module, structure
@@ -48,7 +48,9 @@ P5_NESTED = Partition.make(4, 4, [(0, 3), (1, 2), (4, 7), (5, 6)])
 
 # ---------------------------------------------------------------------------
 # oracles: rotation by per-corner remap tables and by the boundary-walk remap,
-# and the pairwise crossing test, the library's former implementations
+# the pairwise crossing test, the involution by a point swap and set
+# partitions grouped from their growth strings, the library's former
+# implementations
 
 
 def rotate_by_tables(p: Partition, corner: str) -> Partition:
@@ -110,6 +112,12 @@ def rotate_by_tables(p: Partition, corner: str) -> Partition:
     return Partition.make(new_k, new_l, blocks, colors)
 
 
+def _walk(k: int, l: int) -> list[int]:
+    """Point ids of P(k, l) in clockwise boundary order: the upper row left
+    to right, then the lower row right to left."""
+    return [*range(k), *range(k + l - 1, k - 1, -1)]
+
+
 def rotate_by_walk(p: Partition, corner: str) -> Partition:
     """Move one outermost point to the other row: the rows are the two arcs
     of the clockwise boundary walk, and the cut between them on the named
@@ -136,6 +144,46 @@ def rotate_by_walk(p: Partition, corner: str) -> Partition:
             new_colors[y] = c if (x < k) == (y < new_k) else _flip(c)
         colors = tuple(new_colors)
     return Partition(new_k, n - new_k, blocks, colors)
+
+
+def involution_by_swap(p: Partition) -> Partition:
+    """Turn the diagram upside down by mapping every point to its id in the
+    swapped rows, then sorting each block and the block list."""
+    k, l = p.upper, p.lower
+
+    def swap(x: int) -> int:
+        return x + l if x < k else x - k
+
+    blocks = sorted(tuple(sorted(swap(x) for x in b)) for b in p.blocks)
+    colors = None
+    if p.colors is not None:
+        colors = p.colors[k:] + p.colors[:k]
+    return Partition(l, k, tuple(blocks), colors)
+
+
+def set_partitions_by_emit(n: int):
+    """All set partitions of 0..n-1 via restricted growth strings, each
+    grouped by its own loop."""
+    if n == 0:
+        yield ()
+        return
+    rgs = [0] * n
+
+    def emit() -> tuple[tuple[int, ...], ...]:
+        groups: dict[int, list[int]] = {}
+        for i, g in enumerate(rgs):
+            groups.setdefault(g, []).append(i)
+        return tuple(tuple(g) for g in groups.values())
+
+    def rec(i: int, max_used: int):
+        if i == n:
+            yield emit()
+            return
+        for g in range(max_used + 2):
+            rgs[i] = g
+            yield from rec(i + 1, max(max_used, g))
+
+    yield from rec(1, 0)
 
 
 def make_by_sets(upper, lower, blocks, colors=None) -> Partition:
@@ -581,9 +629,9 @@ def colored_partitions(draw, max_row=4):
 
 class TestBoundaryWalk:
     """Rotation, which reads the word back at a moved cut, and the crossing
-    test along the boundary walk, against the per-corner tables, the walk
-    remap and the pairwise crossing test they replaced; an empty row's
-    refusal included."""
+    test, which scans the word, against the per-corner tables, the remap
+    along the clockwise boundary walk (:func:`_walk`, kept here) and the
+    pairwise crossing test they replaced; an empty row's refusal included."""
 
     CORNERS = ("ul", "ll", "ur", "lr")
 
@@ -606,6 +654,32 @@ class TestBoundaryWalk:
     def test_matches_oracles_colored(self, p):
         assert is_noncrossing(p) == is_noncrossing_pairwise(p)
         self.assert_rotations_match(p)
+
+
+class TestLabelReader:
+    """``_blocks``, the one reader from point labels to canonical blocks,
+    against the growth-string grouping and the point swap it replaced."""
+
+    def test_set_partitions_match_oracle_in_order(self):
+        # the order is part of the contract: _projectives_uncached names
+        # the first undecidable candidate it meets
+        for n in range(10):
+            assert list(all_set_partitions(n)) == list(set_partitions_by_emit(n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(colored_partitions())
+    def test_round_trip(self, p):
+        assert _blocks(p.block_of()) == p.blocks
+
+    @settings(max_examples=300, deadline=None)
+    @given(colored_partitions(), st.booleans())
+    @example(parse_partition("@:abba@wbbw"), True)  # k = 0
+    @example(parse_partition("aab@bwb:@"), True)  # l = 0
+    @example(parse_partition(":"), False)
+    def test_involution_matches_swap(self, p, colored):
+        if not colored:
+            p = Partition(p.upper, p.lower, p.blocks)
+        assert involution(p) == involution_by_swap(p)
 
 
 def projective_by_composition(p: Partition) -> bool:
