@@ -31,7 +31,8 @@ closure of :mod:`particat.categories` shares), and rotating reads the word
 back with the cut between the rows moved one point.  The word runs along
 the boundary, so the crossing test scans it.  Blocks are built from a block
 label per point by one reader, :func:`_blocks`, which reading a word back,
-the involution and the enumeration of set partitions share.
+the involution, the enumeration of set partitions and the random draw
+(:func:`_draw_labels`) share.
 
 Points may optionally carry a color (``w`` or ``b``); colored and uncolored
 diagrams never mix.  Colors travel with their points under every operation
@@ -580,20 +581,26 @@ def all_set_partitions(n: int):
     yield from rec(0, -1)
 
 
+def _draw_labels(rng, n: int) -> tuple[int, ...]:
+    """A block label per point by a CRP-style draw: each point joins one of
+    the blocks opened so far or opens the next, so the labels number the
+    blocks by first appearance."""
+    labels = []
+    opened = 0
+    for _ in range(n):
+        label = rng.randrange(opened + 1)
+        if label == opened:
+            opened += 1
+        labels.append(label)
+    return tuple(labels)
+
+
 def random_partition(rng, k: int, l: int, colored: bool = False) -> Partition:
-    """A random diagram in P(k, l); block count follows a CRP-style draw,
-    which opens the blocks in order of their smallest point."""
-    n = k + l
-    if n == 0:
-        return empty_partition(colored)
-    blocks: list[list[int]] = []
-    for x in range(n):
-        choice = rng.randrange(len(blocks) + 1)
-        if choice == len(blocks):
-            blocks.append([x])
-        else:
-            blocks[choice].append(x)
+    """A random diagram in P(k, l); block count follows a CRP-style draw
+    (:func:`_draw_labels`), which opens the blocks in order of their smallest
+    point."""
+    blocks = _blocks(_draw_labels(rng, k + l))
     colors = None
     if colored:
-        colors = tuple(rng.choice((WHITE, BLACK)) for _ in range(n))
-    return Partition(k, l, tuple(map(tuple, blocks)), colors)
+        colors = tuple(rng.choice((WHITE, BLACK)) for _ in range(k + l))
+    return Partition(k, l, blocks, colors)

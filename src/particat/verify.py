@@ -17,10 +17,11 @@ from itertools import combinations
 
 from .partition import (
     Partition,
+    _blocks,
+    _draw_labels,
     all_set_partitions,
     compose,
     is_projective,
-    random_partition,
     serialize,
     stats,
     tensor,
@@ -65,21 +66,27 @@ def suite_functor(
     half = max(1, max_points // 2)
     checks = 0
     failures: list[str] = []
-    memo: dict[tuple[Partition, Partition], tuple[int, bool]] = {}
+    # keyed by the drawn labels, so a repeated pair builds no diagram; an
+    # entry holds the rule count and the failure message, None if it passed
+    memo: dict[tuple, tuple[int, str | None]] = {}
     for _ in range(samples):
         k, l, m = (rng.randrange(half + 1) for _ in range(3))
-        top = random_partition(rng, k, l)
-        bottom = random_partition(rng, l, m)
-        entry = memo.get((bottom, top))
+        upper, lower = _draw_labels(rng, k + l), _draw_labels(rng, l + m)
+        entry = memo.get((k, l, m, upper, lower))
         if entry is None:
+            top = Partition(k, l, _blocks(upper))
+            bottom = Partition(l, m, _blocks(lower))
             report = check_functor(bottom, top, N)
-            rules = sum(1 for key in report if key.endswith("_rule"))
-            entry = memo[bottom, top] = rules, report["passed"]
+            rules = sum(1 for name in report if name.endswith("_rule"))
+            failure = None
+            if not report["passed"]:
+                failure = (
+                    f"functor rules failed on {serialize(bottom)} / {serialize(top)}"
+                )
+            entry = memo[k, l, m, upper, lower] = rules, failure
         checks += entry[0]
-        if not entry[1]:
-            failures.append(
-                f"functor rules failed on {serialize(bottom)} / {serialize(top)}"
-            )
+        if entry[1]:
+            failures.append(entry[1])
     return {
         "suite": "functor",
         "N": N,

@@ -1,11 +1,16 @@
-"""Command line surface: golden outputs, determinism, exit codes."""
+"""Command line surface: golden outputs, determinism, exit codes, and the
+option table's reading against the argparse parser it replaced."""
 
+import argparse
+import io
 import json
 import shlex
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from particat import cli, structure
 from particat.cli import (
@@ -15,6 +20,7 @@ from particat.cli import (
     EXIT_UNDECIDABLE,
     run,
 )
+from particat.verify import SUITES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -504,22 +510,24 @@ def test_readme_examples(capsys):
         assert out == expected, block[0]
 
 
-def test_parser_built_once(capsys):
-    """One process answers a parse error, --help, the README examples and an
-    unknown category from one parser, each with its code and bytes."""
+def test_parser_built_once(capsys, monkeypatch):
+    """One process answers a usage error, --help, the README examples and an
+    unknown category from the option table built at import, each with its
+    code and bytes; no request builds a lookup of its own."""
 
-    def fresh(argv):
-        with pytest.raises(SystemExit) as exc:
-            cli._build_parser.__wrapped__().parse_args(argv)
-        return exc.value.code, capsys.readouterr()
+    def refuse(*args):
+        raise AssertionError("a request built option lookups")
 
-    cli._build_parser.cache_clear()
-    for argv, code in ((["verify", "--suite", "nope"], EXIT_PARSE), (["--help"], EXIT_OK)):
-        want = fresh(argv)
-        assert run(argv) == code == want[0]
-        assert capsys.readouterr() == want[1]
-    blocks = _readme_command_blocks()
-    for block in blocks:
+    monkeypatch.setattr(cli, "_level", refuse)
+    assert run(["verify", "--suite", "nope"]) == EXIT_PARSE
+    assert capsys.readouterr() == (
+        "",
+        '{"schema": "particat/1", "error": "verify: --suite must be functor, '
+        'structure, fusion or all, got \'nope\'"}\n',
+    )
+    assert run(["--help"]) == EXIT_OK
+    assert capsys.readouterr() == (cli._help_text(cli._GLOBAL) + "\n", "")
+    for block in _readme_command_blocks():
         assert run(shlex.split(block[0])[1:]) == EXIT_OK, block[0]
         assert capsys.readouterr().out.strip() == "\n".join(block[1:]).strip()
     assert run(["member", "--category", "nope", "--partition", "a:a"]) == EXIT_PARSE
@@ -528,5 +536,324 @@ def test_parser_built_once(capsys):
         '{"schema": "particat/1", "error": "unknown category \'nope\'; expected '
         'one of p, p2, nc, nc2, ncb, nceven, ucol or gen:<file>"}\n',
     )
-    info = cli._build_parser.cache_info()
-    assert (info.misses, info.hits) == (1, len(blocks) + 2)
+
+
+# ---------------------------------------------------------------------------
+# the option table against the argparse parser it replaced
+
+
+def argparse_oracle() -> argparse.ArgumentParser:
+    """The argparse parser the command line was read with before its option
+    table; the oracle of the one-pass reader."""
+    top = argparse.ArgumentParser(
+        prog="particat",
+        description="exact diagram calculus for categories of set partitions",
+    )
+    top.add_argument("--config", help="JSON config file setting size caps")
+    top.add_argument(
+        "--pretty", action="store_true", help="human-readable rendering"
+    )
+    top.add_argument(
+        "--json", action="store_true", help="JSON output (the default)"
+    )
+    top.add_argument(
+        "--timing", action="store_true",
+        help="report real elapsed milliseconds (breaks byte-identical output)",
+    )
+    sub = top.add_subparsers(dest="command", required=True)
+
+    fuse = sub.add_parser("fuse", help="fusion of two labels or diagrams")
+    fuse.add_argument("--category", required=True)
+    fuse.add_argument("--left", required=True)
+    fuse.add_argument("--right", required=True)
+
+    member = sub.add_parser("member", help="category membership of a diagram")
+    member.add_argument("--category", required=True)
+    member.add_argument("--partition", required=True)
+
+    sym = sub.add_parser("sym", help="symmetry group of a projective diagram")
+    sym.add_argument("--category", required=True)
+    sym.add_argument("--partition", required=True)
+
+    dec = sub.add_parser("decompose", help="classes of a tensor power")
+    dec.add_argument("--category", required=True)
+    dec.add_argument("--power", type=int, required=True)
+    dec.add_argument("--N", type=int)
+
+    br = sub.add_parser("brauer", help="twisted diagram algebra computations")
+    br.add_argument("--category", required=True)
+    br.add_argument("--k", type=int)
+    br.add_argument("--left")
+    br.add_argument("--right")
+    br.add_argument("--N", type=int, required=True)
+
+    ver = sub.add_parser("verify", help="run a verification suite")
+    ver.add_argument("--suite", choices=SUITES, required=True)
+    ver.add_argument("--N", type=int, default=3)
+    ver.add_argument("--max-points", type=int, default=6, dest="max_points")
+
+    tab = sub.add_parser("table", help="fusion table of a labelled category")
+    tab.add_argument("--category", required=True)
+    tab.add_argument("--max-label", type=int, default=3, dest="max_label")
+    return top
+
+
+ORACLE = argparse_oracle()
+GLOBAL_DESTS = ("config", "pretty", "json", "timing")
+
+
+def oracle_read(argv):
+    """argparse's reading of argv: ("help",), ("refused",), or ("read",
+    command, global flags, inputs), the inputs in declaration order."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            args = vars(ORACLE.parse_args(argv))
+    except SystemExit as exc:
+        return ("help",) if exc.code == 0 else ("refused",)
+    flags = [(key, args.pop(key)) for key in GLOBAL_DESTS]
+    command = args.pop("command")
+    return "read", command, flags, [(k, v) for k, v in args.items() if v is not None]
+
+
+def table_read(argv):
+    """The option table's reading of argv, in the form of ``oracle_read``."""
+    try:
+        command, flags, options = cli._read(argv)
+    except cli._HelpRequested:
+        return ("help",)
+    except ValueError:
+        return ("refused",)
+    inputs = [(k, v) for k, v in options.items() if v is not None]
+    return "read", command, list(flags.items()), inputs
+
+
+def assert_reads_alike(argv):
+    """Both parsers read argv alike; a refusal prints one JSON error line and
+    help prints on stdout, each with its exit code."""
+    want = oracle_read(argv)
+    assert table_read(argv) == want, argv
+    if want[0] == "read":
+        return want
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if want[0] == "help":
+        assert code == EXIT_OK and out.startswith("usage: particat") and not err
+    else:
+        assert code == EXIT_PARSE and out == "" and err.count("\n") == 1, argv
+        assert json.loads(err)["schema"] == "particat/1"
+    return want
+
+
+MEMBER = ["member", "--category", "nc", "--partition", "a:a"]
+
+
+@pytest.mark.parametrize(
+    "argv, outcome",
+    [
+        (["fuse", "--category=nc", "--left=2", "--right=a:a"], "read"),
+        (["--pre", "--t", "--j", "--conf", "c.json", *MEMBER], "read"),
+        (["--config=c.json", "member", "--cat", "nc", "--p", "a:a"], "read"),
+        (["verify", "--s", "functor", "--max", "2", "--N", "2"], "read"),
+        (["table", "--category", "nc", "--max", "1"], "read"),
+        (["decompose", "--category", "nc", "--power", "-2"], "read"),
+        (["brauer", "--category", "p", "--left=-3", "--right", "-1",
+          "--N", "2"], "read"),
+        (["decompose", "--category", "nc", "--power", " 2", "--N", "2 "], "read"),
+        (["decompose", "--category", "nc", "--power", "1_0"], "read"),
+        (["decompose", "--power", "1", "--category", "p", "--power", "2",
+          "--category", "nc"], "read"),
+        (["member", "--category", "nc", "--partition", "-x y"], "read"),
+        (["member", "--category", "", "--partition=-x"], "read"),
+        (["member", "--category", "nc", "--partition", "a", "--c", "b"], "read"),
+        (["--config", "-1", *MEMBER], "read"),
+        (["--help"], "help"),
+        (["-h", "bogus"], "help"),
+        (["--he"], "help"),
+        (["-hh"], "help"),
+        (["--bogus", "decompose", "--help"], "help"),
+        (["decompose", "-h"], "help"),
+        (["decompose", "--category", "nc", "--po", "2", "--help"], "help"),
+        ([*MEMBER, "extra", "--help"], "help"),
+        (["verify", "--suite", "nope", "--help"], "refused"),
+        (["decompose", "--help", "--=x"], "refused"),
+        (["bogus", "--help"], "refused"),
+        (["-hx"], "refused"),
+        (["--help=x"], "refused"),
+        (["--pretty=", "member"], "refused"),
+        (["--", *MEMBER], "refused"),
+        ([*MEMBER, "--"], "refused"),
+        (["member", "--category", "nc", "--partition", "--", "a:a"], "refused"),
+        (["member", "--category", "nc", "--partition", "-h x"], "refused"),
+        (["member", "--category", "nc", "-partition", "a:a"], "refused"),
+        ([*MEMBER, "-1"], "refused"),
+        (["--config", "--help"], "refused"),
+    ],
+)
+def test_reads_like_argparse(argv, outcome):
+    assert assert_reads_alike(argv)[0] == outcome
+
+
+GLOBAL_CHUNKS = (
+    ["--pretty"], ["--json"], ["--timing"], ["--pre"], ["--t"], ["--j"],
+    ["--config", "c.json"], ["--config=c.json"], ["--conf", "c.json"],
+    ["--c", "-1"], ["--config"], ["--pretty=x"], ["-h"], ["--help"],
+    ["--bogus"], ["-hh"],
+)
+STR_VALUES = (
+    "nc", "p", "a:a", "2", "-2", "-1.5", " 2", "x", "-x", "-", "", "a b",
+    "--x y", "-h x", "-hh", "--p", "-3\n",
+)
+INT_VALUES = ("2", "0", "-2", " 2", "2 ", "2.0", "x", "1_0", "+1", "", "-x")
+JUNK = (
+    "extra", "--bogus", "--bogus=1", "--=x", "--", "-1", "-h", "--help",
+    "--he", "-hh", "-hx", "--help=x", "--pretty", "--config", "-x", "=", "-",
+    "-h=h", "--pre", "--c",
+)
+
+
+@st.composite
+def option_chunks(draw, options, values):
+    """Token groups giving some of the options, each by its flag or by a
+    prefix of it, its value separate or after ``=``; required options
+    usually, others sometimes, and any of them twice now and then."""
+    chunks = []
+    for option in options:
+        low = 1 if option.required and draw(st.integers(0, 9)) else 0
+        for _ in range(draw(st.integers(low, 2 if low else 1))):
+            cut = draw(st.integers(3, len(option.flag)))
+            flag = draw(st.sampled_from((option.flag, option.flag[:cut])))
+            value = draw(st.sampled_from(values(option)))
+            if draw(st.booleans()):
+                chunks.append([flag, value])
+            else:
+                chunks.append([f"{flag}={value}"])
+    return chunks
+
+
+def differential_values(option):
+    if option.choices:
+        return (*option.choices, "nope", "")
+    return INT_VALUES if option.type is int else STR_VALUES
+
+
+@st.composite
+def any_argv(draw, global_chunks, commands, values, junk):
+    argv = []
+    for chunk in draw(st.lists(st.sampled_from(global_chunks), max_size=2)):
+        argv += chunk
+    command = draw(commands)
+    argv.append(command)
+    chunks = []
+    if command in cli._COMMANDS:
+        chunks = draw(option_chunks(cli._COMMANDS[command].options, values))
+    chunks += [[token] for token in draw(st.lists(st.sampled_from(junk), max_size=2))]
+    for chunk in draw(st.permutations(chunks)):
+        argv += chunk
+    return argv
+
+
+@settings(max_examples=600, deadline=None)
+@given(any_argv(
+    GLOBAL_CHUNKS,
+    st.sampled_from((*cli._COMMANDS, "bogus", "--", "-h")),
+    differential_values,
+    JUNK,
+))
+def test_reads_like_argparse_on_generated_argv(argv):
+    assert_reads_alike(argv)
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ([], "command"),
+        (["--pretty"], "command"),
+        (["bogus", "--category", "nc"], "bogus"),
+        (["decompose", "--category", "nc"], "--power"),
+        (["fuse", "--category", "nc", "--left", "1"], "--right"),
+        (["member", "--category", "nc", "--bogus", "--partition", "a:a"],
+         "--bogus"),
+        (["--bogus", *MEMBER], "--bogus"),
+        (["--=x", *MEMBER], "--=x"),
+        ([*MEMBER, "--cat=nc=nc", "--=x"], "--=x"),
+        (["member", "--category", "nc", "--partition"], "--partition"),
+        (["member", "--category", "--partition", "a:a"], "--category"),
+        (["fuse", "--category", "nc", "--left", "-x", "--right", "1"], "--left"),
+        (["--config"], "--config"),
+        (["decompose", "--category", "nc", "--power", "2.0"], "--power"),
+        (["brauer", "--category", "p2", "--N", "x", "--k", "1"], "--N"),
+        (["verify", "--suite", "nope"], "--suite"),
+        ([*MEMBER, "extra"], "member"),
+        (["member", "--pretty", "--category", "nc", "--partition", "a:a"],
+         "--pretty"),
+        (["--pretty=1", *MEMBER], "--pretty"),
+    ],
+    ids=[
+        "no-command", "flag-only", "unknown-command", "missing-required",
+        "missing-second-required", "unknown-option", "unknown-global",
+        "ambiguous-global", "ambiguous-after-command", "missing-value",
+        "value-is-a-flag", "value-starts-with-dash", "missing-config-value",
+        "non-integer", "non-integer-N", "bad-choice", "stray-positional",
+        "global-after-command", "flag-with-value",
+    ],
+)
+def test_usage_error_json(capsys, argv, named):
+    """Every usage error exits 2 with one JSON error line naming the command
+    or option, where argparse printed its usage text."""
+    assert oracle_read(argv) == ("refused",)
+    assert run(argv) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    doc = json.loads(err)
+    assert set(doc) == {"schema", "error"} and doc["schema"] == "particat/1"
+    assert named in doc["error"]
+
+
+# small sizes only, so that no request is heavy
+SMALL_VALUES = {
+    "category": ("nc", "p", "p2", "nc2", "ncb", "nceven", "ucol", "nope",
+                 "gen:missing.txt"),
+    "left": ("0", "1", "2", "01", "1w", "a:a", "ab:ab", "x", "-1"),
+    "right": ("0", "2", "10", "1b", "a:a", "aa:", ":", "-2"),
+    "partition": ("a:a", "ab:ba", "ab:ab", "abc:abc", ":", "a1", "ab@w:ab"),
+    "power": ("0", "1", "2", "-1", "x"),
+    "N": ("-1", "0", "1", "2", "3", "2.0"),
+    "k": ("-1", "0", "1", "2"),
+    "max_points": ("-1", "0", "1", "2"),
+    "max_label": ("-1", "0", "1", "2"),
+    "suite": ("functor", "structure", "fusion", "all", "nope"),
+}
+SMALL_GLOBALS = (
+    ["--pretty"], ["--json"], ["--timing"], ["--t"], ["--config", "missing.json"],
+    ["--bogus"],
+)
+# nothing here reads as -h or --help, whose text is no document
+SMALL_JUNK = ("extra", "--bogus", "--=x", "--", "-1", "--pretty", "-x", "-", "")
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_argv(
+    SMALL_GLOBALS,
+    st.sampled_from((*cli._COMMANDS, "bogus")),
+    lambda option: SMALL_VALUES[option.dest],
+    SMALL_JUNK,
+))
+def test_any_argv_gets_one_document(argv):
+    """Whatever argv holds, run exits 0, 2, 3 or 4 without an exception; a
+    refusal prints one JSON error document on stderr and nothing on stdout,
+    and an answer prints one document on stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_BOUNDS, EXIT_UNDECIDABLE), argv
+    if code:
+        assert out == "" and err.count("\n") == 1, argv
+        assert set(json.loads(err)) == {"schema", "error"}
+    elif out.startswith("command: "):
+        assert err == "" and "\nresult:\n" in out, argv
+    else:
+        assert err == "" and out.count("\n") == 1, argv
+        assert json.loads(out)["schema"] == "particat/1"

@@ -1,5 +1,6 @@
-"""Verification suites: the functor memo against an unmemoized loop, its
-op budget, and the structure suite's cap."""
+"""Verification suites: the functor memo against an unmemoized loop and
+against the sampler it replaced, its op budget, and the structure suite's
+cap."""
 
 import random
 from collections import Counter
@@ -8,7 +9,26 @@ import pytest
 
 from particat import verify
 from particat.categories import BoundsExceededError
-from particat.partition import random_partition, serialize
+from particat.partition import Partition, random_partition, serialize
+
+
+def crp_partition(rng, k, l, colored=False):
+    """``random_partition`` as it was before it drew a label per point: the
+    CRP draw appends each point to a block list."""
+    n = k + l
+    if n == 0:
+        return Partition(0, 0, (), () if colored else None)
+    blocks = []
+    for x in range(n):
+        choice = rng.randrange(len(blocks) + 1)
+        if choice == len(blocks):
+            blocks.append([x])
+        else:
+            blocks[choice].append(x)
+    colors = None
+    if colored:
+        colors = tuple(rng.choice(("w", "b")) for _ in range(n))
+    return Partition(k, l, tuple(map(tuple, blocks)), colors)
 
 
 def sampled_pairs(N, max_points, samples, seed):
@@ -18,9 +38,36 @@ def sampled_pairs(N, max_points, samples, seed):
     pairs = []
     for _ in range(samples):
         k, l, m = (rng.randrange(half + 1) for _ in range(3))
-        top = random_partition(rng, k, l)
-        pairs.append((random_partition(rng, l, m), top))
+        top = crp_partition(rng, k, l)
+        pairs.append((crp_partition(rng, l, m), top))
     return pairs
+
+
+def suite_functor_by_diagrams(N, max_points, samples=500, seed=2024):
+    """``suite_functor`` as it was before it keyed its memo by the drawn
+    labels: it drew the two diagrams and keyed the memo by them."""
+    checks = 0
+    failures = []
+    memo = {}
+    for bottom, top in sampled_pairs(N, max_points, samples, seed):
+        entry = memo.get((bottom, top))
+        if entry is None:
+            report = verify.check_functor(bottom, top, N)
+            rules = sum(1 for key in report if key.endswith("_rule"))
+            entry = memo[bottom, top] = rules, report["passed"]
+        checks += entry[0]
+        if not entry[1]:
+            failures.append(
+                f"functor rules failed on {serialize(bottom)} / {serialize(top)}"
+            )
+    return {
+        "suite": "functor",
+        "N": N,
+        "samples": samples,
+        "checks": checks,
+        "failures": failures[:10],
+        "passed": not failures,
+    }
 
 
 def suite_functor_oracle(N, max_points, samples=500, seed=2024):
@@ -48,6 +95,28 @@ def summary(report):
 def test_memo_matches_oracle(N, max_points, seed):
     report = verify.suite_functor(N, max_points, samples=120, seed=seed)
     assert summary(report) == suite_functor_oracle(N, max_points, 120, seed)
+
+
+@pytest.mark.parametrize(
+    "N, max_points, samples, seed",
+    [(3, 6, 500, 2024), (2, 2, 500, 2024), (1, 0, 50, 7), (2, 4, 300, 11),
+     (3, 7, 200, 20240810), (4, 3, 400, 5)],
+)
+def test_reports_match_the_diagram_sampler(N, max_points, samples, seed):
+    report = verify.suite_functor(N, max_points, samples, seed)
+    assert report == suite_functor_by_diagrams(N, max_points, samples, seed)
+
+
+def test_random_partition_matches_crp():
+    sizes = random.Random(0)
+    for seed in range(400):
+        k, l = sizes.randrange(6), sizes.randrange(6)
+        for colored in (False, True):
+            rng, oracle = random.Random(seed), random.Random(seed)
+            want = crp_partition(oracle, k, l, colored)
+            assert random_partition(rng, k, l, colored) == want
+            # both consumed the same draws, so the draws after them agree
+            assert rng.getstate() == oracle.getstate()
 
 
 def test_memo_repeats_failures_of_a_repeated_pair(monkeypatch):
