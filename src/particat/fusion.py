@@ -155,23 +155,25 @@ def _check_projective_operands(p: Partition, q: Partition) -> None:
         raise BoundsExceededError(f"p (x) q has {n} blocks; the grammar has 52 letters")
 
 
-def _dedupe_sorted(grafts) -> list[Partition]:
-    """Distinct grafts in first-seen order, then sorted by (t, serialization)."""
-    out = list(dict.fromkeys(grafts))
-    out.sort(key=lambda m: (stats(m).t, serialize(m)))
-    return out
+def _by_t_and_text(members: list[tuple[Partition, int]]) -> None:
+    """Sort (diagram, t) pairs in place by t, then by text; each diagram is
+    serialized once."""
+    members.sort(key=lambda mt: (mt[1], serialize(mt[0])))
 
 
 def fusion_candidates(p: Partition, q: Partition) -> list[Partition]:
-    """All graftings of a mixing diagram between p and q, deduplicated.
+    """All graftings of a mixing diagram between p and q, distinct by
+    construction (distinct mixings give distinct grafts), sorted by
+    through-block count, then text.
 
     Complete over the mixing enumeration at (t(p), t(q)); every candidate is
     projective and dominated by the plain tensor product.
     """
     _check_projective_operands(p, q)
-    return _dedupe_sorted(
-        _graft(p, q, enumerate_mixing(stats(p).t, stats(q).t))
-    )
+    grafts = _graft(p, q, enumerate_mixing(stats(p).t, stats(q).t))
+    members = [(m, stats(m).t) for m in grafts]
+    _by_t_and_text(members)
+    return [m for m, _ in members]
 
 
 def fusion(spec: CategorySpec, p: Partition, q: Partition) -> FusionResult:
@@ -187,15 +189,19 @@ def fusion(spec: CategorySpec, p: Partition, q: Partition) -> FusionResult:
     :class:`~particat.categories.BoundsExceededError` past
     :data:`~particat.structure.MIXING_CAP` mixings.
 
-    Membership of every candidate must be decidable; bounded generated
-    categories raise on candidates beyond their bound rather than guessing.
+    Distinct mixings give distinct grafts, so nothing is deduplicated; the
+    members are sorted by through-block count, then text, and only they are
+    serialized.  Membership of every candidate must be decidable; bounded
+    generated categories raise on candidates beyond their bound rather than
+    guessing.
     """
     if not (contains(spec, p) and contains(spec, q)):
         raise ValueError("both diagrams must belong to the category")
     _check_projective_operands(p, q)
     mixings = _nested_mixings if is_noncrossing_spec(spec) else enumerate_mixing
-    candidates = _dedupe_sorted(_graft(p, q, mixings(stats(p).t, stats(q).t)))
-    members = [(m, stats(m).t) for m in candidates if contains(spec, m)]
+    grafts = _graft(p, q, mixings(stats(p).t, stats(q).t))
+    members = [(m, stats(m).t) for m in grafts if contains(spec, m)]
+    _by_t_and_text(members)
     return FusionResult(tuple(members))
 
 
@@ -209,7 +215,8 @@ def fusion_brute_force(
     dominated by a tensor with one factor strictly lowered inside the
     category.  Domination (pq = q) is read off the blocks: p dominates q
     when p's upper-row partition refines q's and every non-through block of
-    p is a block of q, so no test composes.  Used to cross-validate
+    p is a block of q, so no test composes; each member's block map is built
+    once for the tensor and every lowered tensor.  Used to cross-validate
     :func:`fusion`; exponentially more expensive, so only viable at small
     arity.
     """
@@ -226,12 +233,13 @@ def fusion_brute_force(
     for m in projectives(spec, p.upper + q.upper):
         if m.colored and m.colors != pq.colors:
             continue
-        if not _dominates(pq, m):
+        owner = m.block_of()
+        if not _dominates(pq, m, owner):
             continue
-        if any(_dominates(low, m) for low in lowered):
+        if any(_dominates(low, m, owner) for low in lowered):
             continue
         out.append((m, stats(m).t))
-    out.sort(key=lambda mt: (mt[1], serialize(mt[0])))
+    _by_t_and_text(out)
     return FusionResult(tuple(out))
 
 

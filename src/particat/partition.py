@@ -418,13 +418,15 @@ def stats(p: Partition) -> PartitionStats:
 
 
 def is_noncrossing(p: Partition) -> bool:
-    """True when no two blocks interleave along the boundary, which the
-    word (:func:`_word`) walks counterclockwise from the upper right corner.
-    One stack pass along the word: a point must open a new block or continue
-    the innermost block still open."""
+    """True when no two blocks interleave along the boundary, walked
+    counterclockwise from the upper right corner as the word (:func:`_word`)
+    lists it.  One stack pass over the block labels in that order: a point
+    must open a new block or continue the innermost block still open."""
+    k = p.upper
+    owner = p.block_of()
     left = [len(b) for b in p.blocks]
     stack: list[int] = []
-    for b in _word(p)[0]:
+    for b in owner[:k][::-1] + owner[k:]:
         if left[b] == len(p.blocks[b]):
             stack.append(b)
         elif stack[-1] != b:

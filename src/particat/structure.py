@@ -9,7 +9,8 @@ lower points are ordered by their smallest upper neighbour) and r is a
 of through-blocks of p equals the middle arity of the factorization.  One
 routine, :func:`upper_building`, reads a building diagram off p's blocks:
 s is that of p and q that of p turned over.  Every product q* m s of two
-building diagrams around a middle m is read off the blocks too.
+building diagrams around a middle m is read off the blocks too, by one
+routine that reads the frame (s, q) once for any number of middles.
 
 Projective diagrams (symmetric idempotents, equivalently q* q for some q) are
 partially ordered by domination: q is dominated by p when pq = q.  The order
@@ -17,8 +18,8 @@ reads straight off the blocks: p dominates q exactly when the partition of
 p's upper row refines that of q's and every non-through block of p is also a
 block of q.  Tensor products of projectives are broken below by grafting
 *mixing diagrams* between the through-block structures: one routine stacks
-each mixing on the tensor of the two upper building diagrams, built once
-per pair, and :func:`mix` is its checked form for one mixing.  The
+each mixing on the tensor of the two upper building diagrams, a frame read
+once per pair, and :func:`mix` is its checked form for one mixing.  The
 noncrossing mixings are the nested ones of :func:`square` and :func:`boxvert`.
 
 Symmetry groups, the cross-arity equivalence of projectives, and the word
@@ -28,9 +29,10 @@ invariants for the even-block and colored-pair settings also live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .partition import (
     ArityError,
@@ -99,7 +101,9 @@ class ThroughBlockDecomposition:
     upper_building: Partition  # s
 
     def recompose(self) -> Partition:
-        return _stack(self.upper_building, self.middle, self.lower_building)
+        return next(
+            _stack(self.upper_building, self.lower_building, [self.middle])
+        )
 
 
 @dataclass(frozen=True)
@@ -169,32 +173,40 @@ def upper_building(p: Partition) -> Partition:
     return Partition(k, t, tuple(blocks), colors)
 
 
-def _stack(s: Partition, m: Partition, q: Partition) -> Partition:
-    """q* m s for building diagrams s in P(k, a), q in P(l, b) and any m in
-    P(a, b), read off the blocks: the blocks of s and q that do not go
-    through stay on their rows (q's shifted by k to the lower row), and each
-    block of m joins the upper points that s and q pin to its points.  No
-    middle point is lost, so no loop is removed; colors come from the outer
-    rows only."""
+def _stack(
+    s: Partition, q: Partition, middles: Iterable[Partition]
+) -> Iterator[Partition]:
+    """q* m s, lazily for each m of ``middles``, for building diagrams s in
+    P(k, a) and q in P(l, b) and middles in P(a, b), read off the blocks.
+
+    The frame is read once: the blocks of s and q that do not go through
+    stay on their rows (q's shifted by k to the lower row), and each point
+    of a middle is pinned to the upper points that s or q joins to it.  Each
+    middle then costs one pass over its own blocks, each of which joins the
+    points pinned to its points.  No middle point is lost, so no loop is
+    removed; colors come from the outer rows only."""
     k, a, l = s.upper, s.lower, q.upper
-    pins: list[tuple[int, ...]] = [()] * (a + q.lower)  # by point of m
-    blocks = []
+    pins: list[tuple[int, ...]] = [()] * (a + q.lower)  # by point of a middle
+    fixed = []
     for b in s.blocks:
         if b[-1] >= k:  # a building block ends in its one lower point
             pins[b[-1] - k] = b[:-1]
         else:
-            blocks.append(b)
+            fixed.append(b)
     for b in q.blocks:
         shifted = tuple(x + k for x in b)
         if b[-1] >= l:
             pins[a + b[-1] - l] = shifted[:-1]
         else:
-            blocks.append(shifted)
-    for b in m.blocks:
-        blocks.append(tuple(sorted(x for y in b for x in pins[y])))
-    blocks.sort()
+            fixed.append(shifted)
     colors = None if s.colors is None else s.colors[:k] + q.colors[:l]
-    return Partition(k, l, tuple(blocks), colors)
+    pin = pins.__getitem__
+    for m in middles:
+        # a middle block has few points: adding their pin tuples measured
+        # faster than chaining them
+        blocks = fixed + [tuple(sorted(sum(map(pin, b), ()))) for b in m.blocks]
+        blocks.sort()
+        yield Partition(k, l, tuple(blocks), colors)
 
 
 def _through_blocks(p: Partition) -> list[tuple[int, ...]]:
@@ -243,21 +255,21 @@ def dominates(p: Partition, q: Partition) -> bool:
     q's, and every non-through block of p is also a block of q.
     """
     _check_projective_pair(p, q)
-    return _dominates(p, q)
+    return _dominates(p, q, q.block_of())
 
 
-def _dominates(p: Partition, q: Partition) -> bool:
+def _dominates(p: Partition, q: Partition, owner: list[int]) -> bool:
     """:func:`dominates` for callers that already know p and q are
     projective of one arity with equal color words (members of
     ``projectives()`` filtered by color, or checked once at entry), so inner
-    loops skip the re-check.  Colors are not read.
+    loops skip the re-check.  Colors are not read.  ``owner`` is
+    ``q.block_of()``, which a caller testing q against many p builds once.
 
     One scan over p's blocks that meet the upper row, which canonical order
     puts first: each must keep its upper points inside one block of q, and
     one that does not go through must be a block of q.
     """
     k = p.upper
-    owner = q.block_of()
     for b in p.blocks:
         first = b[0]
         if first >= k:
@@ -282,7 +294,7 @@ def _dominated_members(spec: CategorySpec, p: Partition) -> list[Partition]:
     if p.colored:
         word = p.upper_colors()
         pool = [q for q in pool if q.upper_colors() == word]
-    return [q for q in pool if q != p and _dominates(p, q)]
+    return [q for q in pool if q != p and _dominates(p, q, q.block_of())]
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +340,7 @@ def p_sigma(p: Partition, sigma: Permutation) -> Partition:
     if sorted(sigma) != list(range(t)):
         raise ValueError(f"not a permutation of 0..{t - 1}: {sigma}")
     pu = upper_building(p)
-    return _stack(pu, to_through_partition(sigma), pu)
+    return next(_stack(pu, pu, [to_through_partition(sigma)]))
 
 
 def sym_group(spec: CategorySpec, p: Partition) -> list[Permutation]:
@@ -347,11 +359,9 @@ def sym_group(spec: CategorySpec, p: Partition) -> list[Permutation]:
     if t == 0:
         raise ValueError("the symmetry group needs at least one through-block")
     pu = upper_building(p)
-    return [
-        tuple(sigma)
-        for sigma in _sigmas(spec, t)
-        if contains(spec, _stack(pu, to_through_partition(sigma), pu))
-    ]
+    sigmas = list(_sigmas(spec, t))
+    stacked = _stack(pu, pu, map(to_through_partition, sigmas))
+    return [sigma for sigma, m in zip(sigmas, stacked) if contains(spec, m)]
 
 
 def equivalent(spec: CategorySpec, p: Partition, q: Partition) -> bool:
@@ -374,10 +384,10 @@ def _equivalent(spec: CategorySpec, pu: Partition, qu: Partition) -> bool:
     their upper building diagrams ``pu`` and ``qu``, so a caller comparing
     many pairs builds them once per member."""
     t = pu.lower
-    return qu.lower == t and any(
-        contains(spec, _stack(pu, to_through_partition(sigma), qu))
-        for sigma in _sigmas(spec, t)
-    )
+    if qu.lower != t:
+        return False
+    witnesses = _stack(pu, qu, map(to_through_partition, _sigmas(spec, t)))
+    return any(contains(spec, r) for r in witnesses)
 
 
 def _equivalence_classes(
@@ -468,28 +478,31 @@ def _mixing_count(k: int, l: int) -> int:
     )
 
 
-def _nested_mixings(k: int, l: int) -> list[MixingPartition]:
+@lru_cache(maxsize=64)
+def _nested_mixings(k: int, l: int) -> tuple[MixingPartition, ...]:
     """The 2 min(k, l) + 1 noncrossing (k, l)-mixing diagrams: a nested
     pairs join the rightmost a left columns to the leftmost a right ones,
     all open at index 2a and, for a >= 1, with the outermost pair closed at
-    index 2a - 1 (closing an inner pair would cross)."""
+    index 2a - 1 (closing an inner pair would cross).  Built once per
+    (k, l) among the 64 last asked for, as an immutable tuple."""
     out = []
     for a in range(min(k, l) + 1):
         pairs = [(k - a + i, k + a - 1 - i) for i in range(a)]
         if a:
             out.append(_mixing_from_pairs(k, l, pairs, [True] + [False] * (a - 1)))
         out.append(_mixing_from_pairs(k, l, pairs, [False] * a))
-    return out
+    return tuple(out)
 
 
 def _graft(
     p: Partition, q: Partition, mixings: Iterable[MixingPartition]
 ) -> list[Partition]:
     """Stack each mixing diagram h between the upper building diagrams of p
-    and q: with s their tensor, built once per pair, the graft is s* h s.
-    The caller has checked that every mixing has arities (t(p), t(q))."""
-    mid = tensor(upper_building(p), upper_building(q))
-    return [_stack(mid, h.partition, mid) for h in mixings]
+    and q: with s their tensor, the graft is s* h s, all on one frame read
+    once per pair.  Distinct mixings give distinct grafts.  The caller has
+    checked that every mixing has arities (t(p), t(q))."""
+    s = tensor(upper_building(p), upper_building(q))
+    return list(_stack(s, s, [h.partition for h in mixings]))
 
 
 def mix(p: Partition, q: Partition, h: MixingPartition) -> Partition:

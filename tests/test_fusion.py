@@ -250,6 +250,52 @@ class TestNestedPath:
         structure.upper_building(p)
         assert made == []
 
+    @pytest.mark.parametrize("spec", [NC2, NCEVEN, UCOL, P2], ids=lambda s: s.name())
+    def test_serializes_kept_members_only(self, monkeypatch, spec):
+        # op budget: one serialize per kept member at most, none for a graft
+        # the category refuses; refused grafts occur, so the budget bites
+        pool = [p for k in range(3) for p in projectives(spec, k)]
+        grafted, serialized = [], []
+        real_graft, real_serialize = fusion_module._graft, fusion_module.serialize
+
+        def counting_graft(p, q, mixings):
+            grafted.append(len(mixings))
+            return real_graft(p, q, mixings)
+
+        def counting_serialize(p):
+            serialized.append(p)
+            return real_serialize(p)
+
+        monkeypatch.setattr(fusion_module, "_graft", counting_graft)
+        monkeypatch.setattr(fusion_module, "serialize", counting_serialize)
+        kept = 0
+        for p in pool:
+            for q in pool:
+                before = len(serialized)
+                res = fusion(spec, p, q)
+                assert len(serialized) - before <= len(res.members)
+                kept += len(res.members)
+        assert kept < sum(grafted)
+
+    def test_nested_mixings_built_once_per_through_counts(self, monkeypatch):
+        # op budget: a second fusion at the same through-counts (3, 2)
+        # builds no nested mixing diagram
+        built = []
+        real = structure._mixing_from_pairs
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(structure, "_mixing_from_pairs", counting)
+        structure._nested_mixings.cache_clear()
+        first = fusion(NC, identity(3), identity(2))
+        assert len(built) == 2 * 2 + 1
+        built.clear()
+        second = fusion(NC, parse_partition("abcc:abcc"), parse_partition("aab:aab"))
+        assert built == []
+        assert first.t_values == second.t_values == [1, 2, 3, 4, 5]
+
 
 class TestLabelledFusion:
     def test_loop_scheme(self):

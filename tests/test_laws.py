@@ -6,8 +6,10 @@ P(0, k + l), and a full cyclic turn of a colored word is the identity.
 It also checks that the through-block factorization p = q* r s recomposes
 to p, in both color modes, with building diagrams q and s and q the upper
 building diagram of p turned over, and that the block readings of
-stacking q* m s, domination and projectivity agree with their definitions
-by composition beyond the arities tested exhaustively.  Composition, which
+stacking q* m s (several middles on one frame), domination and
+projectivity agree with their definitions by composition beyond the
+arities tested exhaustively, and that the mixing grafts of one pair are
+distinct, each with its mixing's through-block count.  Composition, which
 glues words, is checked against the point-level union-find it replaced.
 """
 
@@ -30,11 +32,15 @@ from particat.partition import (
     parse_partition,
     rotate,
     serialize,
+    stats,
     tensor,
 )
+from particat.categories import CategorySpec, projectives
 from particat.structure import (
     _dominates,
+    _graft,
     _stack,
+    enumerate_mixing,
     is_building,
     through_block_decomposition,
     upper_building,
@@ -259,23 +265,64 @@ def test_through_block_decomposition_recomposes(colored, data):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_stack_matches_composition(colored, data):
-    # building diagrams s and q of up to five upper points around a free
-    # middle m; between colored ones m is either uncolored or white
+    # building diagrams s and q of up to five upper points around free
+    # middles m, several stacked on one frame; between colored ones each m
+    # is either uncolored or white
     s, q = (
         upper_building(data.draw(partitions(colored, upper=k, max_lower=5)))
         for k in data.draw(st.tuples(st.integers(0, 5), st.integers(0, 5)))
     )
-    m = data.draw(partitions(False, upper=s.lower, lower=q.lower))
-    if colored and data.draw(st.booleans()):
-        m = Partition(m.upper, m.lower, m.blocks, ("w",) * m.n_points)
-    assert _stack(s, m, q) == stack_by_composition(s, m, q)
+    middles = data.draw(
+        st.lists(partitions(False, upper=s.lower, lower=q.lower), max_size=4)
+    )
+    if colored:
+        middles = [
+            Partition(m.upper, m.lower, m.blocks, ("w",) * m.n_points)
+            if data.draw(st.booleans())
+            else m
+            for m in middles
+        ]
+    want = [stack_by_composition(s, m, q) for m in middles]
+    assert list(_stack(s, q, middles)) == want
 
 
 @settings(max_examples=200, deadline=None)
 @given(projective_pairs())
 def test_domination_is_pq_equals_q(pair):
     for p, q in (pair, pair[::-1]):
-        assert _dominates(p, q) == (compose(p, q).partition == q)
+        assert _dominates(p, q, q.block_of()) == (compose(p, q).partition == q)
+
+
+# projective members with at most three through-blocks, by category and
+# arity; ucol members are colored
+GRAFT_POOLS = {
+    name: [
+        [p for p in projectives(CategorySpec.named(name), k) if stats(p).t <= 3]
+        for k in range(5)
+    ]
+    for name in ("p", "p2", "ucol")
+}
+
+
+@st.composite
+def graft_pairs(draw):
+    pools = GRAFT_POOLS[draw(st.sampled_from(sorted(GRAFT_POOLS)))]
+    return tuple(
+        draw(st.sampled_from(pools[draw(st.integers(0, 4))])) for _ in range(2)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(graft_pairs())
+def test_grafts_are_distinct_and_keep_the_mixing_t(pair):
+    # what fusion() rests on: for a fixed pair, distinct mixings give
+    # distinct grafts, so nothing is deduplicated, and a graft has as many
+    # through-blocks as its mixing diagram
+    p, q = pair
+    mixings = enumerate_mixing(stats(p).t, stats(q).t)
+    grafts = _graft(p, q, mixings)
+    assert len(set(grafts)) == len(grafts) == len(mixings)
+    assert [stats(m).t for m in grafts] == [stats(h.partition).t for h in mixings]
 
 
 def projective_by_composition(p: Partition) -> bool:

@@ -913,14 +913,17 @@ class TestTrustedConstruction:
         for k in range(4):
             for l in range(4):
                 mixings = structure.enumerate_mixing(k, l)
-                for h in mixings + structure._nested_mixings(k, l):
+                for h in [*mixings, *structure._nested_mixings(k, l)]:
                     assert_canonical(h.partition)
+        # every stack, recorded as the one stacking routine yields it: 17
+        # grafts on one frame, 6 symmetry witnesses, 1 recomposition
         stacked = []
         real = structure._stack
 
-        def recording(*parts):
-            stacked.append(real(*parts))
-            return stacked[-1]
+        def recording(s, q, middles):
+            for m in real(s, q, middles):
+                stacked.append(m)
+                yield m
 
         monkeypatch.setattr(structure, "_stack", recording)
         p = parse_partition("ab@wb:ab@wb")

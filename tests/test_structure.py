@@ -389,7 +389,7 @@ class TestDomination:
         pairs = list(DOMINATION_CASES[case]())
         below = 0
         for p, q in pairs:
-            got = structure._dominates(p, q)
+            got = structure._dominates(p, q, q.block_of())
             assert got == dominates_by_composition(p, q), (str(p), str(q))
             below += got
         # both answers occur, so neither side is vacuous

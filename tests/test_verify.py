@@ -167,3 +167,14 @@ def test_structure_suite_cap_is_inclusive(monkeypatch):
     assert verify.suite_structure(2)["passed"]
     with pytest.raises(BoundsExceededError):
         verify.suite_structure(3)
+
+
+@pytest.mark.parametrize("max_points, rows", [(0, 0), (1, 0), (2, 1), (4, 2), (6, 2)])
+def test_all_sizes_its_fusion_part_as_the_fusion_suite(max_points, rows):
+    # --suite all runs the fusion oracle at the size --suite fusion uses
+    fusion_part = verify.run_suite("all", max_points=max_points)["parts"][2]
+    alone = verify.run_suite("fusion", max_points=max_points)
+    assert fusion_part == alone
+    assert fusion_part["max_row_points"] == rows
+    if rows == 0:
+        assert fusion_part["checks"] == 4  # the empty diagram of each category
