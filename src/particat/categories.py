@@ -152,39 +152,43 @@ class CategorySpec:
 
 
 def _ucol_colors_ok(p: Partition) -> bool:
+    """For a colored pair diagram: a through-pair has equal end colors and
+    any other pair opposite ones."""
     assert p.colors is not None
     k = p.upper
-    for b in p.blocks:
-        if len(b) != 2:
-            return False
-        x, y = b
-        through = x < k <= y
-        same = p.colors[x] == p.colors[y]
-        if through != same:
+    first: dict[int, int] = {}  # label -> its block's first point
+    for y, label in enumerate(p.labels):
+        x = first.setdefault(label, y)
+        if x != y and (x < k <= y) != (p.colors[x] == p.colors[y]):
             return False
     return True
+
+
+def _blocks_ok(builtin: str, p: Partition) -> bool:
+    """The built-in's condition on the blocks alone, crossing aside: pairs,
+    even blocks, blocks of at most two points, or the colored pairs."""
+    if builtin in ("p", "nc"):
+        return True
+    if builtin in ("p2", "nc2"):
+        return is_pair(p)
+    if builtin == "ncb":
+        return blocks_at_most_two(p)
+    if builtin == "nceven":
+        return all_blocks_even(p)
+    if builtin == "ucol":
+        return is_pair(p) and _ucol_colors_ok(p)
+    raise ValueError(f"unknown builtin {builtin!r}")
 
 
 def _builtin_contains(builtin: str, p: Partition) -> bool:
     if builtin == "ucol":
         if not p.colored:
             raise ColorError("the colored pair category needs colored diagrams")
-        return is_pair(p) and is_noncrossing(p) and _ucol_colors_ok(p)
-    if p.colored:
+    elif p.colored:
         raise ColorError(f"category {builtin!r} holds uncolored diagrams")
-    if builtin == "p":
-        return True
-    if builtin == "p2":
-        return is_pair(p)
-    if builtin == "nc":
-        return is_noncrossing(p)
-    if builtin == "nc2":
-        return is_pair(p) and is_noncrossing(p)
-    if builtin == "ncb":
-        return blocks_at_most_two(p) and is_noncrossing(p)
-    if builtin == "nceven":
-        return all_blocks_even(p) and is_noncrossing(p)
-    raise ValueError(f"unknown builtin {builtin!r}")
+    return _blocks_ok(builtin, p) and (
+        builtin in ("p", "p2") or is_noncrossing(p)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +354,7 @@ def is_noncrossing_spec(spec: CategorySpec) -> bool:
 
 def _colorings(p: Partition) -> Iterator[Partition]:
     for colors in product((WHITE, BLACK), repeat=p.n_points):
-        yield Partition(p.upper, p.lower, p.blocks, colors)
+        yield Partition(p.upper, p.lower, p.labels, colors)
 
 
 def enumerate_in(spec: CategorySpec, k: int, l: int) -> list[Partition]:
@@ -366,8 +370,8 @@ def enumerate_in(spec: CategorySpec, k: int, l: int) -> list[Partition]:
             f"enumeration of {k + l} points exceeds the cap {MAX_ENUM_POINTS}"
         )
     out = []
-    for blocks in all_set_partitions(k + l):  # canonical as generated
-        base = Partition(k, l, blocks)
+    for labels in all_set_partitions(k + l):  # canonical as generated
+        base = Partition(k, l, labels)
         if spec.colored:
             if spec.builtin == "ucol" and not (
                 is_pair(base) and is_noncrossing(base)
@@ -436,16 +440,16 @@ def _projectives_uncached(spec: CategorySpec, k: int) -> list[Partition]:
     out = []
     for row in all_set_partitions(k):
         # bit i of the mask cuts block i from its mirror; mask 0 comes first,
-        # so an undecidable arity names the diagram enumerate_in names.  The
-        # upper-row blocks, then the cut mirrors, are in canonical order.
-        mirrors = [tuple(x + k for x in b) for b in row]
-        for mask in range(1 << len(row)):
-            cut = [mask >> i & 1 for i in range(len(row))]
-            blocks = tuple(
-                b if c else b + m for b, m, c in zip(row, mirrors, cut)
-            ) + tuple(m for m, c in zip(mirrors, cut) if c)
+        # so an undecidable arity names the diagram enumerate_in names.  A
+        # cut block's mirror takes the next label past the row's, in label
+        # order, which is the order of first appearance on the lower row.
+        b = max(row, default=-1) + 1
+        for mask in range(1 << b):
+            fresh = iter(range(b, 2 * b))
+            mirror = [next(fresh) if mask >> i & 1 else i for i in range(b)]
+            labels = row + tuple(map(mirror.__getitem__, row))
             for colors in colorings:
-                cand = Partition(k, k, blocks, colors)
+                cand = Partition(k, k, labels, colors)
                 if contains(spec, cand):
                     out.append(cand)
     out.sort(key=Partition.sort_key)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from itertools import groupby, product
 from typing import Optional, Union
 
@@ -41,6 +42,7 @@ from .partition import (
     tensor,
     WHITE,
     BLACK,
+    _through,
 )
 from .structure import (
     _dominated_members,
@@ -49,7 +51,6 @@ from .structure import (
     _equivalent,
     _graft,
     _nested_mixings,
-    _through_blocks,
     boxvert,
     enumerate_mixing,
     upper_building,
@@ -59,6 +60,7 @@ from .structure import (
 from .categories import (
     BoundsExceededError,
     CategorySpec,
+    _blocks_ok,
     contains,
     enumerate_in,
     is_noncrossing_spec,
@@ -150,7 +152,7 @@ class FusionResult:
 def _check_projective_operands(p: Partition, q: Partition) -> None:
     if not (is_projective(p) and is_projective(q)):
         raise ValueError("fusion needs projective diagrams")
-    n = len(p.blocks) + len(q.blocks)  # no graft has more blocks than p (x) q
+    n = p.n_blocks + q.n_blocks  # no graft has more blocks than p (x) q
     if n > len(_LETTERS):  # results are sorted by their text
         raise BoundsExceededError(f"p (x) q has {n} blocks; the grammar has 52 letters")
 
@@ -183,9 +185,11 @@ def fusion(spec: CategorySpec, p: Partition, q: Partition) -> FusionResult:
     diagrams of p and q once.  In a noncrossing category
     (:func:`~particat.categories.is_noncrossing_spec`) it grafts only the
     2 min(t(p), t(q)) + 1 nested mixings of :func:`~particat.structure.square`
-    and :func:`~particat.structure.boxvert`; any other graft crosses.
-    Crossing categories graft every mixing diagram, as
-    :func:`fusion_candidates` does, and raise
+    and :func:`~particat.structure.boxvert`; any other graft crosses.  A
+    nested graft of noncrossing diagrams is noncrossing, so a noncrossing
+    built-in checks its condition on the blocks alone; a generated category
+    asks full membership.  Crossing categories graft every mixing diagram,
+    as :func:`fusion_candidates` does, and raise
     :class:`~particat.categories.BoundsExceededError` past
     :data:`~particat.structure.MIXING_CAP` mixings.
 
@@ -200,7 +204,10 @@ def fusion(spec: CategorySpec, p: Partition, q: Partition) -> FusionResult:
     _check_projective_operands(p, q)
     mixings = _nested_mixings if is_noncrossing_spec(spec) else enumerate_mixing
     grafts = _graft(p, q, mixings(stats(p).t, stats(q).t))
-    members = [(m, stats(m).t) for m in grafts if contains(spec, m)]
+    belongs = partial(contains, spec)
+    if mixings is _nested_mixings and spec.builtin is not None:
+        belongs = partial(_blocks_ok, spec.builtin)  # the grafts do not cross
+    members = [(m, stats(m).t) for m in grafts if belongs(m)]
     _by_t_and_text(members)
     return FusionResult(tuple(members))
 
@@ -213,10 +220,9 @@ def fusion_brute_force(
     Enumerates every projective member at the joint arity, keeps those
     dominated by the tensor product, and discards any that are already
     dominated by a tensor with one factor strictly lowered inside the
-    category.  Domination (pq = q) is read off the blocks: p dominates q
+    category.  Domination (pq = q) is read off the labels: p dominates q
     when p's upper-row partition refines q's and every non-through block of
-    p is a block of q, so no test composes; each member's block map is built
-    once for the tensor and every lowered tensor.  Used to cross-validate
+    p is a block of q, so no test composes.  Used to cross-validate
     :func:`fusion`; exponentially more expensive, so only viable at small
     arity.
     """
@@ -233,10 +239,9 @@ def fusion_brute_force(
     for m in projectives(spec, p.upper + q.upper):
         if m.colored and m.colors != pq.colors:
             continue
-        owner = m.block_of()
-        if not _dominates(pq, m, owner):
+        if not _dominates(pq, m):
             continue
-        if any(_dominates(low, m, owner) for low in lowered):
+        if any(_dominates(low, m) for low in lowered):
             continue
         out.append((m, stats(m).t))
     _by_t_and_text(out)
@@ -480,7 +485,7 @@ def _block_as_partition(p: Partition, block: tuple[int, ...]) -> Partition:
     """A block of a diagram, re-read as a standalone single-block diagram."""
     ups = sum(1 for x in block if x < p.upper)
     colors = None if p.colors is None else tuple(p.colors[x] for x in block)
-    return Partition(ups, len(block) - ups, (tuple(range(len(block))),), colors)
+    return Partition(ups, len(block) - ups, (0,) * len(block), colors)
 
 
 def freeness_probe(spec: CategorySpec, max_arity: int = 3) -> dict:
@@ -510,7 +515,7 @@ def freeness_probe(spec: CategorySpec, max_arity: int = 3) -> dict:
         p
         for k in range(1, max_arity + 1)
         for p in projectives(spec, k)
-        if len(p.blocks) == 1
+        if p.n_blocks == 1
     ]
     reps = [cls[0] for cls in _equivalence_classes(spec, single_blocks)]
     heads = [upper_building(rep) for rep in reps]  # as _equivalence_classes
@@ -529,7 +534,7 @@ def freeness_probe(spec: CategorySpec, max_arity: int = 3) -> dict:
         conj = rep
         if rep.colors is not None:
             mirror = rep.upper_colors()[::-1] + rep.lower_colors()[::-1]
-            conj = conjugate_colors(Partition(rep.upper, rep.lower, rep.blocks, mirror))
+            conj = conjugate_colors(Partition(rep.upper, rep.lower, rep.labels, mirror))
         involution_table[idx] = letter_of(conj)
     fusion_table = {}
     for i, a in enumerate(reps):
@@ -546,9 +551,10 @@ def freeness_probe(spec: CategorySpec, max_arity: int = 3) -> dict:
         words_seen: dict[tuple, list[Partition]] = {}
         for rec in decompose_power(spec, k):
             rep = rec["representative"]
+            blocks = rep.blocks  # a block's label is its index
             word = tuple(
-                letter_of(_block_as_partition(rep, b))
-                for b in _through_blocks(rep)
+                letter_of(_block_as_partition(rep, blocks[x]))
+                for x in sorted(_through(rep))
             )
             if None in word:
                 complete = False

@@ -30,6 +30,7 @@ from .partition import (
     serialize,
     stats,
     tensor,
+    _through,
 )
 from .structure import _dominated_members, p_sigma, sym_group
 from .categories import (
@@ -68,8 +69,8 @@ PROJECTION_ENTRIES_CAP = 2 * 10**7
 # one; the matrix entry (j, i) is then "codes equal and not -1".
 #
 # The signature depends only on the row's pattern: each point of the row is
-# tagged 2 * (index of its block among the blocks meeting the row, in block
-# order) + (1 for a through-block).  Through-blocks keep the block order on
+# tagged 2 * (index of its block among the blocks meeting the row, in label
+# order) + (1 for a through-block).  Through-blocks keep the label order on
 # both rows, so the upper and the lower codes line up.  Ranks need no
 # signature (t_map_rank); maps and projection columns do.
 
@@ -81,14 +82,11 @@ _SIGNATURES: dict[tuple[int, ...], np.ndarray] = {}
 def _row_pattern(p: Partition, upper: bool) -> tuple[int, ...]:
     """The tags of the upper (or lower) row's points, left to right."""
     k = p.upper
-    lo, hi = (0, k) if upper else (k, k + p.lower)
-    tags = [0] * (hi - lo)
-    row_blocks = [b for b in p.blocks if b[0] < hi and b[-1] >= lo]
-    for r, b in enumerate(row_blocks):
-        for x in b:
-            if lo <= x < hi:
-                tags[x - lo] = 2 * r + (b[0] < k <= b[-1])
-    return tuple(tags)
+    row, other = p.labels[:k], p.labels[k:]
+    if not upper:
+        row, other = other, row
+    tag = {x: 2 * r + (x in other) for r, x in enumerate(sorted(set(row)))}
+    return tuple(map(tag.__getitem__, row))
 
 
 def _row_signature(pattern: tuple[int, ...], N: int) -> np.ndarray:
@@ -143,7 +141,7 @@ def t_map(p: Partition, N: int) -> np.ndarray:
 
 
 def t_map_rank(p: Partition, N: int) -> int:
-    """Exact rank of the 0/1 matrix of ``p``: N^t(p), read off the blocks.
+    """Exact rank of the 0/1 matrix of ``p``: N^t(p), read off the labels.
 
     Columns sharing a through-block code are equal as vectors; columns with
     different codes have disjoint supports (the rows hitting a column are
@@ -155,9 +153,9 @@ def t_map_rank(p: Partition, N: int) -> int:
     cached; a bad N and a row past the rows cap are refused first, as
     :func:`t_map` refuses them.
     """
-    _check_rows(max(p.upper, p.lower), N)
-    k = p.upper
-    return N ** len([b for b in p.blocks if b[0] < k <= b[-1]])
+    k, l = p.upper, p.lower
+    _check_rows(k if k > l else l, N)
+    return N ** len(_through(p))
 
 
 def _columns(members: list[Partition], N: int) -> list[dict[int, int]]:

@@ -7,14 +7,14 @@ diagrams (each lower point sits in its own block, is connected upward, and
 lower points are ordered by their smallest upper neighbour) and r is a
 *through* diagram (a permutation written as vertical-free pairs).  The number
 of through-blocks of p equals the middle arity of the factorization.  One
-routine, :func:`upper_building`, reads a building diagram off p's blocks:
-s is that of p and q that of p turned over.  Every product q* m s of two
-building diagrams around a middle m is read off the blocks too, by one
-routine that reads the frame (s, q) once for any number of middles.
+routine reads a building diagram off one row of p's labels: s off the upper
+row and q off the lower row.  Every product q* m s of two building diagrams
+around a middle m is read off the labels too, by one routine that reads the
+frame (s, q) once for any number of middles.
 
 Projective diagrams (symmetric idempotents, equivalently q* q for some q) are
 partially ordered by domination: q is dominated by p when pq = q.  The order
-reads straight off the blocks: p dominates q exactly when the partition of
+reads straight off the labels: p dominates q exactly when the partition of
 p's upper row refines that of q's and every non-through block of p is also a
 block of q.  Tensor products of projectives are broken below by grafting
 *mixing diagrams* between the through-block structures: one routine stacks
@@ -40,11 +40,12 @@ from .partition import (
     Partition,
     WHITE,
     all_blocks_even,
-    involution,
     is_pair,
     is_projective,
     stats,
     tensor,
+    _relabel,
+    _through,
 )
 from .categories import (
     BoundsExceededError,
@@ -126,30 +127,38 @@ class MixingPartition:
 
 def is_building(p: Partition) -> bool:
     """Lower points in distinct blocks, each connected upward, ordered by
-    their smallest upper neighbour."""
+    their smallest upper neighbour.  The upper row numbers its blocks from
+    0 by smallest upper point, so the lower labels must rise, the last one
+    an upper label."""
     k = p.upper
-    owner = p.block_of()
-    seen: set[int] = set()
-    mins: list[int] = []
-    for j in range(p.lower):
-        b = owner[k + j]
-        if b in seen:
-            return False
-        seen.add(b)
-        ups = [x for x in p.blocks[b] if x < k]
-        if not ups:
-            return False
-        mins.append(min(ups))
-    return all(a < b for a, b in zip(mins, mins[1:]))
+    low = p.labels[k:]
+    if not low:
+        return True
+    return all(a < b for a, b in zip(low, low[1:])) and low[-1] in p.labels[:k]
 
 
 def is_through(p: Partition) -> bool:
     """A permutation diagram: every block one upper and one lower point."""
-    if p.upper != p.lower:
-        return False
-    return all(
-        len(b) == 2 and b[0] < p.upper <= b[1] for b in p.blocks
+    k = p.upper
+    return (
+        k == p.lower
+        and p.labels[:k] == tuple(range(k))
+        and sorted(p.labels[k:]) == list(range(k))
     )
+
+
+def _building(row: tuple[int, ...], through: set[int], colors) -> Partition:
+    """The building diagram of one row of a diagram: the row's labels,
+    renumbered, with each block of ``through`` pinned to a fresh white lower
+    point, in order of smallest point on the row.  ``colors`` are the row's
+    colors, or None."""
+    seen: dict[int, int] = {}
+    upper = [seen.setdefault(x, len(seen)) for x in row]
+    # seen lists the row's blocks in order of smallest point
+    pins = [label for x, label in seen.items() if x in through]
+    if colors is not None:
+        colors = colors + (WHITE,) * len(pins)
+    return Partition(len(row), len(pins), tuple(upper + pins), colors)
 
 
 def upper_building(p: Partition) -> Partition:
@@ -158,76 +167,58 @@ def upper_building(p: Partition) -> Partition:
     through-block pinned to a fresh white lower point, in order of smallest
     upper point."""
     k = p.upper
-    blocks = []
-    t = 0
-    # canonical order puts the blocks meeting the upper row first, by their
-    # smallest upper point; pinning keeps that order, so s is canonical
-    for b in p.blocks:
-        if b[0] >= k:
-            break
-        if b[-1] >= k:
-            b = tuple(x for x in b if x < k) + (k + t,)
-            t += 1
-        blocks.append(b)
-    colors = None if p.colors is None else p.colors[:k] + (WHITE,) * t
-    return Partition(k, t, tuple(blocks), colors)
+    colors = None if p.colors is None else p.colors[:k]
+    return _building(p.labels[:k], _through(p), colors)
 
 
 def _stack(
     s: Partition, q: Partition, middles: Iterable[Partition]
 ) -> Iterator[Partition]:
     """q* m s, lazily for each m of ``middles``, for building diagrams s in
-    P(k, a) and q in P(l, b) and middles in P(a, b), read off the blocks.
+    P(k, a) and q in P(l, b) and middles in P(a, b), read off the labels.
 
-    The frame is read once: the blocks of s and q that do not go through
-    stay on their rows (q's shifted by k to the lower row), and each point
-    of a middle is pinned to the upper points that s or q joins to it.  Each
-    middle then costs one pass over its own blocks, each of which joins the
-    points pinned to its points.  No middle point is lost, so no loop is
-    removed; colors come from the outer rows only."""
-    k, a, l = s.upper, s.lower, q.upper
-    pins: list[tuple[int, ...]] = [()] * (a + q.lower)  # by point of a middle
-    fixed = []
-    for b in s.blocks:
-        if b[-1] >= k:  # a building block ends in its one lower point
-            pins[b[-1] - k] = b[:-1]
-        else:
-            fixed.append(b)
-    for b in q.blocks:
-        shifted = tuple(x + k for x in b)
-        if b[-1] >= l:
-            pins[a + b[-1] - l] = shifted[:-1]
-        else:
-            fixed.append(shifted)
+    The frame is read once: the outer rows are s's upper row followed by
+    q's, q's labels shifted past s's, and each point of a middle is pinned
+    to the block of s or q that its building lower point belongs to; a
+    building diagram's lower points lie in distinct blocks.  Each middle
+    then costs one pass over its labels, which move each pinned block into
+    the middle's block, and one renumbering of the outer rows.  No middle
+    point is lost, so no loop is removed; colors come from the outer rows
+    only."""
+    k, l = s.upper, q.upper
+    shift = s.n_blocks
+    outer = s.labels[:k] + tuple([x + shift for x in q.labels[:l]])
+    pins = s.labels[k:] + tuple([x + shift for x in q.labels[l:]])
+    frame = list(range(shift + q.n_blocks))  # block -> its block in q* m s
+    top = len(frame)  # a middle's labels go past every frame block
     colors = None if s.colors is None else s.colors[:k] + q.colors[:l]
-    pin = pins.__getitem__
     for m in middles:
-        # a middle block has few points: adding their pin tuples measured
-        # faster than chaining them
-        blocks = fixed + [tuple(sorted(sum(map(pin, b), ()))) for b in m.blocks]
-        blocks.sort()
-        yield Partition(k, l, tuple(blocks), colors)
-
-
-def _through_blocks(p: Partition) -> list[tuple[int, ...]]:
-    """p's through-blocks in canonical order, that is by smallest upper point."""
-    k = p.upper
-    return [b for b in p.blocks if b[0] < k and b[-1] >= k]
+        into = frame.copy()
+        for x, label in zip(pins, m.labels):
+            into[x] = top + label
+        yield Partition(k, l, _relabel(map(into.__getitem__, outer)), colors)
 
 
 def through_block_decomposition(p: Partition) -> ThroughBlockDecomposition:
     """Factor p = q* r s through its through-blocks.
 
-    s is :func:`upper_building` of p and q that of p turned over; the middle
-    diagram r joins the i-th through-block by smallest upper point to its
-    rank by smallest lower point.
+    s is the building diagram of p's upper row and q that of its lower row
+    (so q is :func:`upper_building` of p turned over); the middle diagram r
+    joins the i-th through-block by smallest upper point to its rank by
+    smallest lower point.
     """
     k = p.upper
-    lows = [next(x for x in b if x >= k) for b in _through_blocks(p)]
-    order = sorted(lows)
-    r = to_through_partition(tuple(order.index(x) for x in lows), p.colored)
+    up, low = p.labels[:k], p.labels[k:]
+    colors = p.colors
+    through = _through(p)
+    # the through labels by smallest lower point; by label, they are in order
+    # of smallest upper point
+    by_lower = [x for x in dict.fromkeys(low) if x in through]
+    sigma = tuple(map(by_lower.index, sorted(by_lower)))
     return ThroughBlockDecomposition(
-        upper_building(involution(p)), r, upper_building(p)
+        _building(low, through, None if colors is None else colors[k:]),
+        to_through_partition(sigma, p.colored),
+        _building(up, through, None if colors is None else colors[:k]),
     )
 
 
@@ -251,38 +242,37 @@ def _check_projective_pair(p: Partition, q: Partition) -> None:
 def dominates(p: Partition, q: Partition) -> bool:
     """True when pq = q (equivalently qp = q): q sits below p.
 
-    Decided on the blocks: the partition of p's upper row refines that of
+    Decided on the labels: the partition of p's upper row refines that of
     q's, and every non-through block of p is also a block of q.
     """
     _check_projective_pair(p, q)
-    return _dominates(p, q, q.block_of())
+    return _dominates(p, q)
 
 
-def _dominates(p: Partition, q: Partition, owner: list[int]) -> bool:
+def _dominates(p: Partition, q: Partition) -> bool:
     """:func:`dominates` for callers that already know p and q are
     projective of one arity with equal color words (members of
     ``projectives()`` filtered by color, or checked once at entry), so inner
-    loops skip the re-check.  Colors are not read.  ``owner`` is
-    ``q.block_of()``, which a caller testing q against many p builds once.
+    loops skip the re-check.  Colors are not read.
 
-    One scan over p's blocks that meet the upper row, which canonical order
-    puts first: each must keep its upper points inside one block of q, and
-    one that does not go through must be a block of q.
+    One scan over the upper rows maps each label of p to the label of q at
+    the same point, which must be one label (refinement).  In a projective
+    diagram an upper point's block goes through exactly when its mirror
+    point carries its label.  A block of p that does not go through must be
+    a block of q: q's block there does not go through either, and no other
+    block of p maps into it.
     """
     k = p.upper
-    for b in p.blocks:
-        first = b[0]
-        if first >= k:
-            break
-        i = owner[first]
-        if b[-1] < k:
-            if q.blocks[i] != b:
-                return False
-            continue
-        for x in b:
-            if x >= k:
-                break
-            if owner[x] != i:
+    pl, ql = p.labels, q.labels
+    into: dict[int, int] = {}
+    for x, y in zip(pl[:k], ql):
+        if into.setdefault(x, y) != y:
+            return False
+    images = list(into.values())
+    for i in range(k):
+        if pl[k + i] != pl[i]:
+            y = ql[i]
+            if ql[k + i] == y or images.count(y) > 1:
                 return False
     return True
 
@@ -294,7 +284,7 @@ def _dominated_members(spec: CategorySpec, p: Partition) -> list[Partition]:
     if p.colored:
         word = p.upper_colors()
         pool = [q for q in pool if q.upper_colors() == word]
-    return [q for q in pool if q != p and _dominates(p, q, q.block_of())]
+    return [q for q in pool if q != p and _dominates(p, q)]
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +297,9 @@ def to_through_partition(sigma: Permutation, colored: bool = False) -> Partition
     Trusts sigma to be a permutation of 0..m-1: the library builds its own,
     and :func:`p_sigma` checks the one a caller hands in."""
     m = len(sigma)
-    blocks = tuple((i, m + sigma[i]) for i in range(m))
-    return Partition(m, m, blocks, (WHITE,) * (2 * m) if colored else None)
+    lower = sorted(range(m), key=sigma.__getitem__)  # the inverse of sigma
+    colors = (WHITE,) * (2 * m) if colored else None
+    return Partition(m, m, tuple(range(m)) + tuple(lower), colors)
 
 
 def _sigmas(spec: CategorySpec, t: int) -> Iterable[Permutation]:
@@ -423,21 +414,16 @@ def _mixing_from_pairs(
     pairs: Sequence[tuple[int, int]],
     closed: Sequence[bool],
 ) -> MixingPartition:
-    """Assemble the diagram from cross pairs; columns not in a pair stay vertical."""
+    """Assemble the diagram from cross pairs; columns not in a pair stay
+    vertical.  Column c's upper and lower points start with label c; a pair
+    (a, b) gives b's upper point a's label and its two lower points a's
+    label when closed, else a fresh one."""
     n = k + l
-    in_pair = {c for ab in pairs for c in ab}
-    blocks: list[tuple[int, ...]] = []
-    for c in range(n):
-        if c not in in_pair:
-            blocks.append((c, n + c))
+    labels = list(range(n)) * 2
     for (a, b), quad in zip(pairs, closed):
-        if quad:
-            blocks.append((a, b, n + a, n + b))
-        else:
-            blocks.append((a, b))
-            blocks.append((n + a, n + b))
-    blocks.sort()  # each block ascends; order them by smallest point
-    return MixingPartition(k, l, Partition(n, n, tuple(blocks)))
+        labels[b] = a
+        labels[n + a] = labels[n + b] = a if quad else n + a
+    return MixingPartition(k, l, Partition(n, n, _relabel(labels)))
 
 
 def enumerate_mixing(k: int, l: int) -> list[MixingPartition]:
@@ -554,9 +540,9 @@ def word_h(p: Partition) -> str:
         raise ValueError("word invariants need a projective diagram")
     if not all_blocks_even(p):
         raise ValueError("all blocks must have even size")
-    return "".join(
-        "0" if len(b) % 4 == 0 else "1" for b in _through_blocks(p)
-    )
+    # in label order, the through-blocks come by smallest upper point
+    sizes = [p.labels.count(x) for x in sorted(_through(p))]
+    return "".join("0" if size % 4 == 0 else "1" for size in sizes)
 
 
 def word_u(p: Partition) -> str:
@@ -572,5 +558,5 @@ def word_u(p: Partition) -> str:
         raise ColorError("the alternating word needs a colored diagram")
     if not is_pair(p):
         raise ValueError("the alternating word needs a pair diagram")
-    assert p.colors is not None
-    return "".join(p.colors[b[0]] for b in _through_blocks(p))
+    # a through-pair's first point is its upper point
+    return "".join(p.colors[p.labels.index(x)] for x in sorted(_through(p)))

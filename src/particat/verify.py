@@ -17,7 +17,6 @@ from itertools import combinations
 
 from .partition import (
     Partition,
-    _blocks,
     _draw_labels,
     all_set_partitions,
     compose,
@@ -52,9 +51,9 @@ STRUCTURE_MAX_POINTS = 9  # 8-9 s at 9 points, 2-core Xeon; Bell-number growth
 
 def _partitions_up_to(max_points: int):
     for n in range(max_points + 1):
-        for blocks in all_set_partitions(n):
+        for labels in all_set_partitions(n):
             for k in range(n + 1):
-                yield Partition(k, n - k, blocks)  # canonical as generated
+                yield Partition(k, n - k, labels)  # canonical as generated
 
 
 def suite_functor(
@@ -74,8 +73,8 @@ def suite_functor(
         upper, lower = _draw_labels(rng, k + l), _draw_labels(rng, l + m)
         entry = memo.get((k, l, m, upper, lower))
         if entry is None:
-            top = Partition(k, l, _blocks(upper))
-            bottom = Partition(l, m, _blocks(lower))
+            top = Partition(k, l, upper)  # drawn canonical
+            bottom = Partition(l, m, lower)
             report = check_functor(bottom, top, N)
             rules = sum(1 for name in report if name.endswith("_rule"))
             failure = None
@@ -136,31 +135,31 @@ def suite_structure(max_points: int = 8) -> dict:
     # domination over the full projective sets at half the bound: the
     # block-refinement test against its definition pq = q on every ordered
     # pair, then the order axioms; all diagrams are projective members, so
-    # domination runs unchecked, with each member's block map built once
+    # domination runs unchecked
     spec_all = CategorySpec.named("p")
     for k in range(0, max_points // 2 + 1):
-        projs = [(p, p.block_of()) for p in projectives(spec_all, k)]
+        projs = projectives(spec_all, k)
         ident = None
-        for p, owner in projs:
+        for p in projs:
             checks += 1
-            if not _dominates(p, p, owner):
+            if not _dominates(p, p):
                 failures.append(f"domination not reflexive at {serialize(p)}")
-            if stats(p).t == k and p.upper == k and len(p.blocks) == k:
+            if stats(p).t == k and p.upper == k and p.n_blocks == k:
                 ident = p
-        for p, owner in projs:
+        for p in projs:
             checks += 1
-            if ident is not None and not _dominates(ident, p, owner):
+            if ident is not None and not _dominates(ident, p):
                 failures.append(f"identity not maximal over {serialize(p)}")
-        for (p, p_owner), (q, q_owner) in combinations(projs, 2):
+        for p, q in combinations(projs, 2):
             checks += 1
-            if _dominates(p, q, q_owner) and _dominates(q, p, p_owner):
+            if _dominates(p, q) and _dominates(q, p):
                 failures.append(
                     f"antisymmetry fails on {serialize(p)}, {serialize(q)}"
                 )
-        for p, _ in projs:
-            for q, q_owner in projs:
+        for p in projs:
+            for q in projs:
                 checks += 1
-                below = _dominates(p, q, q_owner)
+                below = _dominates(p, q)
                 if below != (compose(p, q).partition == q):
                     failures.append(
                         "domination is not pq = q on "
@@ -168,11 +167,11 @@ def suite_structure(max_points: int = 8) -> dict:
                     )
                 if p is q or not below:
                     continue
-                for r, r_owner in projs:
-                    if r is q or not _dominates(q, r, r_owner):
+                for r in projs:
+                    if r is q or not _dominates(q, r):
                         continue
                     checks += 1
-                    if not _dominates(p, r, r_owner):
+                    if not _dominates(p, r):
                         failures.append(
                             "transitivity fails on "
                             f"{serialize(p)}, {serialize(q)}, {serialize(r)}"

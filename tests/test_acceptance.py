@@ -253,10 +253,10 @@ def test_acceptance_6_matrix_model():
     # (a) rank of every diagram map at up to five points per row
     rank_checks = 0
     for n in range(0, 11):
-        blocks_list = list(all_set_partitions(n))
+        labels_list = list(all_set_partitions(n))
         for k in range(max(0, n - 5), min(5, n) + 1):
-            for blocks in blocks_list:
-                p = Partition.make(k, n - k, blocks)
+            for labels in labels_list:
+                p = Partition(k, n - k, labels)
                 t = stats(p).t
                 for N in (2, 3):
                     rank_checks += 1

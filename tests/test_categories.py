@@ -16,6 +16,7 @@ from particat.partition import (
     identity,
     involution,
     parse_partition,
+    random_partition,
     rotate,
     serialize,
     tensor,
@@ -235,6 +236,33 @@ class TestClosure:
                     monkeypatch.setattr(module, name, counted)
         assert len(closure((parse_partition(":a"),), 7)) == 1569
         assert calls == {"compose": 0, "tensor": 0, "rotate": 0}
+
+    def test_membership_builds_no_blocks(self, monkeypatch):
+        # op budget: parsing, the closure and membership read labels only,
+        # and group no blocks
+        calls = {"blocks": 0}
+        view = Partition.blocks
+
+        def counted_view(p):
+            calls["blocks"] += 1
+            return view.fget(p)
+
+        monkeypatch.setattr(Partition, "blocks", property(counted_view))
+        monkeypatch.setattr(categories, "_CLOSURE_CACHE", {})
+        rng = random.Random(26)
+        texts = [
+            serialize(random_partition(rng, rng.randrange(5), rng.randrange(5)))
+            for _ in range(300)
+        ]
+        spec = CategorySpec(generators=(parse_partition("ab:ba"),), max_points=6)
+        answers = {membership(spec, parse_partition(t)) for t in texts}
+        assert answers == {True, False, None}
+        colored = CategorySpec(
+            generators=(parse_partition("ab@wb:ba@bw"),), max_points=6
+        )
+        assert membership(colored, parse_partition("ab@wb:ba@bw"))
+        assert calls == {"blocks": 0}
+        assert parse_partition("aab:accc").blocks and calls["blocks"] == 1
 
     @pytest.mark.parametrize("bound", [-1, 0, 1])
     def test_bound_below_the_strand_is_refused(self, bound):

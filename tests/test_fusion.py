@@ -189,6 +189,26 @@ class TestNestedPath:
                 assert res.partitions == full
                 assert res.members == fusion_brute_force(spec, p, q).members
 
+    @pytest.mark.parametrize(
+        "spec",
+        [NC, NC2, NCB, NCEVEN, UCOL],
+        ids=["nc", "nc2", "ncb", "nceven", "ucol"],
+    )
+    def test_block_condition_matches_contains(self, spec):
+        # a noncrossing built-in checks the nested grafts of its members on
+        # their blocks alone; full membership keeps the same grafts, and
+        # every nested graft is noncrossing
+        pool = [p for k in range(4) for p in projectives(spec, k)]
+        for p in pool:
+            for q in pool:
+                grafts = structure._graft(
+                    p, q, structure._nested_mixings(stats(p).t, stats(q).t)
+                )
+                assert all(is_noncrossing(m) for m in grafts)
+                kept = [m for m in grafts if contains(spec, m)]
+                kept.sort(key=lambda m: (stats(m).t, serialize(m)))
+                assert fusion(spec, p, q).partitions == kept
+
     def test_crossing_category_enumerates_every_mixing(self, monkeypatch):
         calls = []
         real = fusion_module.enumerate_mixing

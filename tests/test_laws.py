@@ -148,7 +148,7 @@ def compose_by_union_find(bottom: Partition, top: Partition) -> CompositionResul
     colors = None
     if top.colors is not None and bottom.colors is not None:
         colors = top.colors[:k] + bottom.colors[bottom.upper :]
-    return CompositionResult(Partition(k, m, tuple(sorted(blocks)), colors), loops)
+    return CompositionResult(Partition.make(k, m, blocks, colors), loops)
 
 
 @settings(max_examples=300, deadline=None)
@@ -189,7 +189,7 @@ def stack_by_composition(s: Partition, m: Partition, q: Partition) -> Partition:
     """q* m s by two compositions, with an uncolored m lifted to white
     points between colored s and q: the oracle of the block-read stack."""
     if s.colored and not m.colored:
-        m = Partition(m.upper, m.lower, m.blocks, ("w",) * m.n_points)
+        m = m._replace(colors=("w",) * m.n_points)
     return compose(involution(q), compose(m, s).partition).partition
 
 
@@ -277,7 +277,7 @@ def test_stack_matches_composition(colored, data):
     )
     if colored:
         middles = [
-            Partition(m.upper, m.lower, m.blocks, ("w",) * m.n_points)
+            m._replace(colors=("w",) * m.n_points)
             if data.draw(st.booleans())
             else m
             for m in middles
@@ -290,7 +290,7 @@ def test_stack_matches_composition(colored, data):
 @given(projective_pairs())
 def test_domination_is_pq_equals_q(pair):
     for p, q in (pair, pair[::-1]):
-        assert _dominates(p, q, q.block_of()) == (compose(p, q).partition == q)
+        assert _dominates(p, q) == (compose(p, q).partition == q)
 
 
 # projective members with at most three through-blocks, by category and
@@ -369,7 +369,7 @@ def test_ul_rotations_give_the_word(p):
     # the word read off the blocks is the one-row diagram's, up to the
     # numbering of its labels
     labels, colors = _word(p)
-    assert (_relabel(labels), colors) == (tuple(word.block_of()), word.colors)
+    assert (_relabel(labels), colors) == (word.labels, word.colors)
 
 
 @settings(max_examples=150, deadline=None)

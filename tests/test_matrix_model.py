@@ -230,9 +230,9 @@ def every_diagram(max_row, max_points):
     """Every uncolored diagram with at most ``max_row`` points per row and
     ``max_points`` points in all."""
     for n in range(max_points + 1):
-        for blocks in all_set_partitions(n):
+        for labels in all_set_partitions(n):
             for k in range(max(0, n - max_row), min(max_row, n) + 1):
-                yield Partition.make(k, n - k, blocks)
+                yield Partition(k, n - k, labels)
 
 
 @st.composite
@@ -262,11 +262,11 @@ class TestTMap:
         # cross-check the signature-based rank against generic exact
         # elimination on every diagram with at most three points per row
         for n in range(0, 7):
-            for blocks in all_set_partitions(n):
+            for labels in all_set_partitions(n):
                 for k in range(n + 1):
                     if k > 3 or n - k > 3:
                         continue
-                    p = Partition.make(k, n - k, blocks)
+                    p = Partition(k, n - k, labels)
                     for N in (2, 3):
                         mat = t_map(p, N)
                         assert t_map_rank(p, N) == linalg.rank(mat)

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,8 +26,10 @@ from particat.partition import (
     serialize,
     stats,
     tensor,
-    _blocks,
     _flip,
+    _from_word,
+    _glue,
+    _through,
     _word,
 )
 from particat import partition as partition_module, structure
@@ -38,6 +41,7 @@ from particat.categories import (
     enumerate_in,
 )
 from particat.fusion import _block_as_partition, fusion
+from particat.matrix_model import t_map_rank
 from particat.structure import to_through_partition, upper_building
 from particat.verify import _partitions_up_to
 
@@ -47,10 +51,171 @@ P5_NESTED = Partition.make(4, 4, [(0, 3), (1, 2), (4, 7), (5, 6)])
 
 
 # ---------------------------------------------------------------------------
-# oracles: rotation by per-corner remap tables and by the boundary-walk remap,
-# the pairwise crossing test, the involution by a point swap and set
-# partitions grouped from their growth strings, the library's former
-# implementations
+# oracles: the former blocks-based diagram, rotation by per-corner remap
+# tables and by the boundary-walk remap, the pairwise crossing test, the
+# involution by a point swap and set partitions grouped from their growth
+# strings, the library's former implementations
+
+
+class BlockPartition(NamedTuple):
+    """The diagram as the library stored it before its labels: canonical
+    blocks, each an ascending tuple of point ids, ordered by least point.
+    Its methods are the former operations on blocks, kept as the oracle of
+    the label-based :class:`Partition`."""
+
+    upper: int
+    lower: int
+    blocks: tuple[tuple[int, ...], ...]
+    colors: Optional[tuple[str, ...]] = None
+
+    @staticmethod
+    def of(p: Partition) -> "BlockPartition":
+        """The blocks of a diagram, grouped from its labels."""
+        return BlockPartition.grouped(p.upper, p.labels, p.colors)
+
+    def to_labels(self) -> Partition:
+        return Partition(self.upper, self.lower, tuple(self.block_of()), self.colors)
+
+    def block_of(self) -> list[int]:
+        """Map point id -> index of its block in canonical order."""
+        owner = [-1] * (self.upper + self.lower)
+        for i, b in enumerate(self.blocks):
+            for x in b:
+                owner[x] = i
+        return owner
+
+    @staticmethod
+    def grouped(k: int, labels, colors) -> "BlockPartition":
+        """The diagram with k upper points of a block label per point."""
+        groups: dict[int, list[int]] = {}
+        for x, label in enumerate(labels):
+            groups.setdefault(label, []).append(x)
+        blocks = tuple(map(tuple, groups.values()))
+        return BlockPartition(k, len(labels) - k, blocks, colors)
+
+    def serialize(self) -> str:
+        if len(self.blocks) > 52:
+            raise ValueError("too many blocks for the letter grammar")
+        owner = self.block_of()
+        letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+        upper_word = "".join(letters[owner[i]] for i in range(self.upper))
+        lower_word = "".join(letters[owner[self.upper + j]] for j in range(self.lower))
+        if self.colors is None:
+            return f"{upper_word}:{lower_word}"
+        uc = "".join(self.colors[: self.upper])
+        lc = "".join(self.colors[self.upper :])
+        up = f"{upper_word}@{uc}" if self.upper else "@"
+        lo = f"{lower_word}@{lc}" if self.lower else "@"
+        return f"{up}:{lo}"
+
+    @staticmethod
+    def parse(text: str) -> "BlockPartition":
+        """The grammar of well-formed text, grouping letters into blocks."""
+        upper_text, lower_text = text.split(":")
+        upper_word, _, upper_colors = upper_text.partition("@")
+        lower_word, _, lower_colors = lower_text.partition("@")
+        colors = tuple(upper_colors + lower_colors) if "@" in text else None
+        blocks: dict[str, list[int]] = {}
+        for pos, ch in enumerate(upper_word + lower_word):
+            blocks.setdefault(ch, []).append(pos)
+        return BlockPartition(
+            len(upper_word), len(lower_word),
+            tuple(map(tuple, blocks.values())), colors,
+        )
+
+    def sort_key(self) -> tuple[int, int, str]:
+        return (self.upper + self.lower, self.upper, self.serialize())
+
+    def word(self):
+        k = self.upper
+        owner = self.block_of()
+        colors = self.colors
+        if colors is not None:
+            colors = tuple(map(_flip, colors[:k][::-1])) + colors[k:]
+        return tuple(owner[:k][::-1] + owner[k:]), colors
+
+    @staticmethod
+    def from_word(word, k: int) -> "BlockPartition":
+        labels, colors = word
+        if colors is not None:
+            colors = tuple(map(_flip, colors[:k][::-1])) + colors[k:]
+        return BlockPartition.grouped(k, labels[:k][::-1] + labels[k:], colors)
+
+    def tensor(self, q: "BlockPartition") -> "BlockPartition":
+        k, l, k2 = self.upper, self.lower, q.upper
+        blocks = [tuple(x if x < k else x + k2 for x in b) for b in self.blocks]
+        blocks += [tuple(x + k if x < k2 else x + k + l for x in b) for b in q.blocks]
+        blocks.sort()
+        colors = None
+        if self.colors is not None:
+            colors = self.colors[:k] + q.colors[:k2] + self.colors[k:] + q.colors[k2:]
+        return BlockPartition(k + k2, l + q.lower, tuple(blocks), colors)
+
+    def compose(self, top: "BlockPartition") -> tuple["BlockPartition", int]:
+        """``compose(self, top)``: top stacked over self, with its loops."""
+        word, merges = _glue(top.word(), self.word(), top.lower)
+        p = BlockPartition.from_word(word, top.upper)
+        return p, len(top.blocks) + len(self.blocks) - merges - len(p.blocks)
+
+    def involution(self) -> "BlockPartition":
+        k = self.upper
+        owner = self.block_of()
+        colors = self.colors
+        if colors is not None:
+            colors = colors[k:] + colors[:k]
+        return BlockPartition.grouped(self.lower, owner[k:] + owner[:k], colors)
+
+    def rotate(self, corner: str) -> "BlockPartition":
+        up = corner[0] == "u"
+        if (self.upper if up else self.lower) == 0:
+            raise ArityError(f"{'upper' if up else 'lower'} row is empty")
+        labels, colors = self.word()
+        if corner[1] != "l":
+            i = 1 if up else -1
+            labels = labels[i:] + labels[:i]
+            if colors is not None:
+                colors = colors[i:] + colors[:i]
+        return BlockPartition.from_word(
+            (labels, colors), self.upper - 1 if up else self.upper + 1
+        )
+
+    def stats(self) -> tuple[int, int, int]:
+        b, k = len(self.blocks), self.upper
+        t = len([blk for blk in self.blocks if blk[0] < k <= blk[-1]])
+        return b, t, b - t
+
+    def is_noncrossing(self) -> bool:
+        k = self.upper
+        owner = self.block_of()
+        left = [len(b) for b in self.blocks]
+        stack: list[int] = []
+        for b in owner[:k][::-1] + owner[k:]:
+            if left[b] == len(self.blocks[b]):
+                stack.append(b)
+            elif stack[-1] != b:
+                return False
+            left[b] -= 1
+            if not left[b]:
+                stack.pop()
+        return True
+
+    def is_projective(self) -> bool:
+        k = self.upper
+        if k != self.lower:
+            raise ArityError("projectivity needs equal row sizes")
+        if self.colors is not None and self.colors[:k] != self.colors[k:]:
+            return False
+        owner = self.block_of()
+        for b in self.blocks:
+            if b[0] >= k:
+                break
+            mirror = tuple(x + k for x in b if x < k)
+            if b[-1] < k:
+                if self.blocks[owner[mirror[0]]] != mirror:
+                    return False
+            elif b[len(mirror):] != mirror:
+                return False
+        return True
 
 
 def rotate_by_tables(p: Partition, corner: str) -> Partition:
@@ -143,7 +308,7 @@ def rotate_by_walk(p: Partition, corner: str) -> Partition:
             y = remap[x]
             new_colors[y] = c if (x < k) == (y < new_k) else _flip(c)
         colors = tuple(new_colors)
-    return Partition(new_k, n - new_k, blocks, colors)
+    return Partition.make(new_k, n - new_k, blocks, colors)
 
 
 def involution_by_swap(p: Partition) -> Partition:
@@ -158,7 +323,7 @@ def involution_by_swap(p: Partition) -> Partition:
     colors = None
     if p.colors is not None:
         colors = p.colors[k:] + p.colors[:k]
-    return Partition(l, k, tuple(blocks), colors)
+    return Partition.make(l, k, blocks, colors)
 
 
 def set_partitions_by_emit(n: int):
@@ -186,7 +351,7 @@ def set_partitions_by_emit(n: int):
     yield from rec(1, 0)
 
 
-def make_by_sets(upper, lower, blocks, colors=None) -> Partition:
+def make_by_sets(upper, lower, blocks, colors=None) -> BlockPartition:
     """``Partition.make`` as the library first wrote it: a set, a sorted
     list and a tuple per block, then a walk over the blocks collecting the
     points.  It differs from ``make`` in two ways only: the set drops a
@@ -210,7 +375,7 @@ def make_by_sets(upper, lower, blocks, colors=None) -> Partition:
         bad = [c for c in col if c not in ("w", "b")]
         if bad:
             raise ColorError(f"colors must be 'w' or 'b', got {bad[0]!r}")
-    return Partition(upper, lower, norm, col)
+    return BlockPartition(upper, lower, norm, col)
 
 
 def _boundary_positions(p: Partition) -> list[int]:
@@ -406,8 +571,8 @@ class TestCanonicalize:
 
     def test_former_make_accepted_both(self):
         # a two-point row built from one point, and a repeat dropped
-        assert serialize(make_by_sets(-1, 2, [[0]])) == ":aa"
-        assert serialize(make_by_sets(1, 1, [[0, 0, 1]])) == "a:a"
+        assert make_by_sets(-1, 2, [[0]]).serialize() == ":aa"
+        assert make_by_sets(1, 1, [[0, 0, 1]]).serialize() == "a:a"
 
     @settings(max_examples=400, deadline=None)
     @given(raw_make_args())
@@ -417,12 +582,12 @@ class TestCanonicalize:
         if repeated:
             # the one divergence on nonnegative rows: a repeat fails the
             # exact cover, where the former make's set dropped it
-            assert got is ValueError and isinstance(want, Partition)
-        elif isinstance(want, Partition):
+            assert got is ValueError and isinstance(want, BlockPartition)
+        elif isinstance(want, BlockPartition):
             assert flaw is None
-            assert got == want and hash(got) == hash(want)
-            assert type(got.blocks) is tuple
-            assert all(type(b) is tuple for b in got.blocks)
+            assert got == want.to_labels() and hash(got) == hash(want.to_labels())
+            assert BlockPartition.of(got) == want
+            assert type(got.labels) is tuple
         else:
             assert flaw is not None
             assert got is want
@@ -445,6 +610,16 @@ class TestStats:
             p = random_partition(rng, rng.randrange(6), rng.randrange(6))
             st = stats(p)
             assert st.beta == st.b - st.t >= 0
+
+    def test_through_count_counts_through_blocks(self):
+        # the labels the two rows share, against the blocks meeting both
+        # rows, on every diagram of up to 7 points; t_map_rank counts them
+        # too
+        for p in _partitions_up_to(7):
+            k = p.upper
+            t = len([b for b in p.blocks if b[0] < k <= b[-1]])
+            assert len(_through(p)) == stats(p).t == t
+            assert t_map_rank(p, 2) == 2**t
 
 
 class TestTensor:
@@ -643,9 +818,9 @@ class TestBoundaryWalk:
 
     def test_matches_oracles_up_to_eight_points(self):
         for n in range(9):
-            for blocks in all_set_partitions(n):
+            for labels in all_set_partitions(n):
                 for k in range(n + 1):
-                    p = Partition(k, n - k, tuple(sorted(blocks)))
+                    p = Partition(k, n - k, labels)
                     assert is_noncrossing(p) == is_noncrossing_pairwise(p)
                     self.assert_rotations_match(p)
 
@@ -657,19 +832,20 @@ class TestBoundaryWalk:
 
 
 class TestLabelReader:
-    """``_blocks``, the one reader from point labels to canonical blocks,
-    against the growth-string grouping and the point swap it replaced."""
+    """The blocks grouped from the labels, against the growth-string
+    grouping, and the involution against the point swap it replaced."""
 
     def test_set_partitions_match_oracle_in_order(self):
         # the order is part of the contract: _projectives_uncached names
         # the first undecidable candidate it meets
         for n in range(10):
-            assert list(all_set_partitions(n)) == list(set_partitions_by_emit(n))
+            grouped = [Partition(0, n, rgs).blocks for rgs in all_set_partitions(n)]
+            assert grouped == list(set_partitions_by_emit(n))
 
     @settings(max_examples=200, deadline=None)
     @given(colored_partitions())
     def test_round_trip(self, p):
-        assert _blocks(p.block_of()) == p.blocks
+        assert Partition.make(p.upper, p.lower, p.blocks, p.colors) == p
 
     @settings(max_examples=300, deadline=None)
     @given(colored_partitions(), st.booleans())
@@ -678,8 +854,126 @@ class TestLabelReader:
     @example(parse_partition(":"), False)
     def test_involution_matches_swap(self, p, colored):
         if not colored:
-            p = Partition(p.upper, p.lower, p.blocks)
+            p = p._replace(colors=None)
         assert involution(p) == involution_by_swap(p)
+
+
+@st.composite
+def block_diagrams(draw, upper=None, upper_colors=None, colored=None, max_points=9):
+    """A former blocks-based diagram of at most ``max_points`` points,
+    colored or not; ``upper`` and ``upper_colors`` fix its upper row."""
+    k = draw(st.integers(0, max_points)) if upper is None else upper
+    l = draw(st.integers(0, max_points - k))
+    labels, opened = [], 0
+    for _ in range(k + l):  # a restricted growth string
+        label = draw(st.integers(0, opened))
+        opened += label == opened
+        labels.append(label)
+    if colored is None:
+        colored = upper_colors is not None or draw(st.booleans())
+    colors = None
+    if colored:
+        if upper_colors is None:
+            upper_colors = draw(st.lists(st.sampled_from("wb"), min_size=k, max_size=k))
+        lower_colors = draw(st.lists(st.sampled_from("wb"), min_size=l, max_size=l))
+        colors = tuple(upper_colors) + tuple(lower_colors)
+    return BlockPartition.grouped(k, tuple(labels), colors)
+
+
+@st.composite
+def composable_block_diagrams(draw):
+    """(top, bottom) with bottom's upper row the lower row of top."""
+    top = draw(block_diagrams())
+    colors = None if top.colors is None else top.colors[top.upper :]
+    bottom = draw(block_diagrams(top.lower, colors, top.colors is not None))
+    return top, bottom
+
+
+def assert_matches_former(bp: BlockPartition) -> None:
+    """Every single-diagram operation on labels against the former one on
+    blocks."""
+    p = bp.to_labels()
+    assert BlockPartition.of(p) == bp and p.blocks == bp.blocks
+    text = serialize(p)
+    assert text == bp.serialize()
+    assert parse_partition(text) == p and BlockPartition.parse(text) == bp
+    shuffled = [b[::-1] for b in reversed(bp.blocks)]
+    assert Partition.make(p.upper, p.lower, shuffled, p.colors) == p
+    word = _word(p)
+    assert word == bp.word()
+    for k in range(p.n_points + 1):
+        assert _from_word(word, k) == BlockPartition.from_word(word, k).to_labels()
+    assert involution(p) == bp.involution().to_labels()
+    for corner in ("ul", "ll", "ur", "lr"):
+        try:
+            want = bp.rotate(corner).to_labels()
+        except ArityError:
+            with pytest.raises(ArityError):
+                rotate(p, corner)
+        else:
+            assert rotate(p, corner) == want
+    assert tuple(stats(p)) == bp.stats()
+    assert is_noncrossing(p) == bp.is_noncrossing()
+    if p.upper == p.lower:
+        assert is_projective(p) == bp.is_projective()
+    else:
+        with pytest.raises(ArityError):
+            is_projective(p)
+
+
+def assert_pair_matches_former(top: BlockPartition, bottom: BlockPartition) -> None:
+    """Composition with its loop count, the tensor products and the sort
+    order on labels against the former ones on blocks."""
+    p, q = top.to_labels(), bottom.to_labels()
+    got = compose(q, p)
+    want, loops = bottom.compose(top)
+    assert got == (want.to_labels(), loops)
+    assert tensor(p, q) == top.tensor(bottom).to_labels()
+    assert tensor(q, p) == bottom.tensor(top).to_labels()
+    diagrams = [p, q, got.partition, involution(p)]
+    by_labels = sorted(diagrams, key=Partition.sort_key)
+    by_blocks = sorted(map(BlockPartition.of, diagrams), key=BlockPartition.sort_key)
+    assert list(map(BlockPartition.of, by_labels)) == by_blocks
+
+
+class TestFormerBlocks:
+    """The label-based diagram against the blocks-based one it replaced:
+    text, make, words, the four operations, the counts, the predicates and
+    the sort order, on up to 9 points, colored and uncolored."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(block_diagrams())
+    @example(BlockPartition(0, 0, (), None))
+    @example(BlockPartition(0, 0, (), ()))
+    def test_single_diagram(self, bp):
+        assert_matches_former(bp)
+
+    @settings(max_examples=300, deadline=None)
+    @given(composable_block_diagrams())
+    def test_pairs(self, pair):
+        assert_pair_matches_former(*pair)
+
+    def test_past_26_blocks(self):
+        # three diagrams of P(27, 2): the 27th upper point opens block 26,
+        # written 'A', or joins block 0 ('a') or block 25 ('z')
+        upper = tuple(range(26))
+        x = BlockPartition.grouped(27, upper + (26, 26, 0), None)
+        y = BlockPartition.grouped(27, upper + (0, 0, 25), None)
+        z = BlockPartition.grouped(27, upper + (25, 25, 0), None)
+        for bp in (x, y, z):
+            assert_matches_former(bp)
+        assert x.serialize() == "abcdefghijklmnopqrstuvwxyzA:Aa"
+        # text order, where 'A' sorts first, is not label order
+        labels = [bp.to_labels().labels for bp in (x, y, z)]
+        assert sorted(labels) == [labels[1], labels[2], labels[0]]
+        assert sorted((z, y, x), key=BlockPartition.sort_key) == [x, y, z]
+        assert_pair_matches_former(x, x.involution())  # 52 blocks, every letter
+        assert len(x.involution().compose(x)[0].blocks) == 52
+        wide = BlockPartition.grouped(53, tuple(range(53)), None)
+        with pytest.raises(ValueError, match="too many blocks"):
+            wide.serialize()
+        with pytest.raises(ValueError, match="too many blocks"):
+            serialize(wide.to_labels())
 
 
 def projective_by_composition(p: Partition) -> bool:
@@ -692,8 +986,8 @@ def projective_by_composition(p: Partition) -> bool:
 def square_diagrams(max_points: int, colored: bool):
     """Every diagram in P(k, k) with 2k <= max_points, in every coloring."""
     for k in range(max_points // 2 + 1):
-        for blocks in all_set_partitions(2 * k):
-            p = Partition(k, k, blocks)
+        for labels in all_set_partitions(2 * k):
+            p = Partition(k, k, labels)
             yield from _colorings(p) if colored else [p]
 
 
@@ -721,8 +1015,8 @@ class TestPredicates:
 
     def test_noncrossing_projective_iff_symmetric(self):
         for k in range(1, 4):
-            for blocks in all_set_partitions(2 * k):
-                p = Partition.make(k, k, blocks)
+            for labels in all_set_partitions(2 * k):
+                p = Partition(k, k, labels)
                 if not is_noncrossing(p):
                     continue
                 assert is_projective(p) == (p == involution(p))
@@ -783,7 +1077,7 @@ class TestValueSemantics:
     def test_fields_cannot_be_assigned(self):
         p = parse_partition("aab:accc")
         for field, value in (
-            ("upper", 2), ("lower", 0), ("blocks", ()), ("colors", ("w",))
+            ("upper", 2), ("lower", 0), ("labels", ()), ("colors", ("w",))
         ):
             with pytest.raises(AttributeError):
                 setattr(p, field, value)
@@ -794,7 +1088,7 @@ class TestValueSemantics:
     def test_hash_and_equality_follow_the_fields(self, p, colored):
         if not colored:
             p = Partition.make(p.upper, p.lower, p.blocks)
-        assert hash(p) == hash((p.upper, p.lower, p.blocks, p.colors))
+        assert hash(p) == hash((p.upper, p.lower, p.labels, p.colors))
         made = Partition.make(p.upper, p.lower, p.blocks, p.colors)
         assert made == p and hash(made) == hash(p)
 
@@ -804,12 +1098,13 @@ class TestValueSemantics:
 
 
 def assert_canonical(p: Partition) -> None:
-    """p is what Partition.make builds from its own data, with tuple blocks
-    (a list would compare unequal to make's tuples and break hashing)."""
+    """p is what Partition.make builds from its own blocks, with tuple
+    labels (a list would compare unequal to make's tuple and break
+    hashing)."""
     made = Partition.make(p.upper, p.lower, p.blocks, p.colors)
     assert made == p and hash(made) == hash(p)
-    assert type(p.blocks) is tuple
-    assert all(type(b) is tuple for b in p.blocks)
+    assert type(p.labels) is tuple
+    assert all(type(x) is int for x in p.labels)
 
 
 @st.composite

@@ -53,10 +53,12 @@ from particat.categories import (
     BUILTIN_IDS,
     BoundsExceededError,
     CategorySpec,
+    _colorings,
     contains,
     is_noncrossing_spec,
     projectives,
 )
+from particat.verify import _partitions_up_to
 
 P1 = parse_partition("aab:accc")
 FOURBLOCK = parse_partition("aa:aa")
@@ -262,6 +264,17 @@ class TestThroughBlockDecomposition:
             assert d.lower_building.lower == stats(p).t
             assert d.recompose() == p
 
+    def test_lower_building_read_off_the_lower_row(self, monkeypatch):
+        # q is the upper building diagram of p turned over, read off p's
+        # lower-row labels without turning p over
+        diagrams = list(_partitions_up_to(6))
+        diagrams += [c for p in _partitions_up_to(4) for c in _colorings(p)]
+        calls = count_calls(monkeypatch, ["involution"])
+        decomposed = [through_block_decomposition(p) for p in diagrams]
+        assert calls == {"involution": 0}
+        for p, d in zip(diagrams, decomposed):
+            assert d.lower_building == upper_building(involution(p))
+
     def test_block_count_relation(self):
         rng = rand_rng()
         for _ in range(300):
@@ -278,8 +291,8 @@ class TestThroughBlockDecomposition:
     def test_noncrossing_middle_trivial(self):
         for n in range(0, 7):
             for k in range(n + 1):
-                for blocks in all_set_partitions(n):
-                    p = Partition.make(k, n - k, blocks)
+                for labels in all_set_partitions(n):
+                    p = Partition(k, n - k, labels)
                     if not is_noncrossing(p):
                         continue
                     d = through_block_decomposition(p)
@@ -389,7 +402,7 @@ class TestDomination:
         pairs = list(DOMINATION_CASES[case]())
         below = 0
         for p, q in pairs:
-            got = structure._dominates(p, q, q.block_of())
+            got = structure._dominates(p, q)
             assert got == dominates_by_composition(p, q), (str(p), str(q))
             below += got
         # both answers occur, so neither side is vacuous

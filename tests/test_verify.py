@@ -28,7 +28,7 @@ def crp_partition(rng, k, l, colored=False):
     colors = None
     if colored:
         colors = tuple(rng.choice(("w", "b")) for _ in range(n))
-    return Partition(k, l, tuple(map(tuple, blocks)), colors)
+    return Partition.make(k, l, blocks, colors)
 
 
 def sampled_pairs(N, max_points, samples, seed):
