@@ -46,7 +46,7 @@ from .partition import (
 )
 from .structure import (
     _dominated_members,
-    _dominates,
+    _dominator,
     _equivalence_classes,
     _equivalent,
     _graft,
@@ -222,26 +222,28 @@ def fusion_brute_force(
     dominated by a tensor with one factor strictly lowered inside the
     category.  Domination (pq = q) is read off the labels: p dominates q
     when p's upper-row partition refines q's and every non-through block of
-    p is a block of q, so no test composes.  Used to cross-validate
-    :func:`fusion`; exponentially more expensive, so only viable at small
-    arity.
+    p is a block of q, so no test composes.  Each dominator, the tensor and
+    every lowered tensor, is read once into a test that then runs over the
+    whole pool.  Used to cross-validate :func:`fusion`; exponentially more
+    expensive, so only viable at small arity.
     """
     if not (contains(spec, p) and contains(spec, q)):
         raise ValueError("both diagrams must belong to the category")
     _check_projective_operands(p, q)
     pq = tensor(p, q)
-    lowered = [tensor(l, q) for l in _dominated_members(spec, p)] + [
-        tensor(p, r) for r in _dominated_members(spec, q)
+    below = _dominator(pq)
+    lowered = [_dominator(tensor(l, q)) for l in _dominated_members(spec, p)] + [
+        _dominator(tensor(p, r)) for r in _dominated_members(spec, q)
     ]
     out = []
     # p, q and every member kept below share color words, so domination
-    # runs unchecked
+    # runs unchecked; uncolored members and pq both carry None
     for m in projectives(spec, p.upper + q.upper):
-        if m.colored and m.colors != pq.colors:
+        if m.colors != pq.colors:
             continue
-        if not _dominates(pq, m):
+        if not below(m):
             continue
-        if any(_dominates(low, m) for low in lowered):
+        if any(low(m) for low in lowered):
             continue
         out.append((m, stats(m).t))
     _by_t_and_text(out)

@@ -67,7 +67,6 @@ __all__ = [
     "serialize",
     "empty_partition",
     "all_set_partitions",
-    "random_partition",
 ]
 
 WHITE = "w"
@@ -587,14 +586,3 @@ def _draw_labels(rng, n: int) -> tuple[int, ...]:
             opened += 1
         labels.append(label)
     return tuple(labels)
-
-
-def random_partition(rng, k: int, l: int, colored: bool = False) -> Partition:
-    """A random diagram in P(k, l); block count follows a CRP-style draw
-    (:func:`_draw_labels`), which opens the blocks in order of their smallest
-    point."""
-    labels = _draw_labels(rng, k + l)
-    colors = None
-    if colored:
-        colors = tuple(rng.choice((WHITE, BLACK)) for _ in range(k + l))
-    return Partition(k, l, labels, colors)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .partition import (
     ArityError,
@@ -243,38 +243,43 @@ def dominates(p: Partition, q: Partition) -> bool:
     """True when pq = q (equivalently qp = q): q sits below p.
 
     Decided on the labels: the partition of p's upper row refines that of
-    q's, and every non-through block of p is also a block of q.
+    q's, and every non-through block of p is also a block of q.  Library
+    loops read each dominator once (:func:`_dominator`) and test many q.
     """
     _check_projective_pair(p, q)
-    return _dominates(p, q)
+    return _dominator(p)(q)
 
 
-def _dominates(p: Partition, q: Partition) -> bool:
-    """:func:`dominates` for callers that already know p and q are
-    projective of one arity with equal color words (members of
-    ``projectives()`` filtered by color, or checked once at entry), so inner
-    loops skip the re-check.  Colors are not read.
+def _dominator(p: Partition) -> Callable[[Partition], bool]:
+    """The test "p dominates m", p read once for any number of m that the
+    caller knows to be projective of p's arity with p's color word (members
+    of ``projectives()`` filtered by color, or checked once at entry), so
+    the test skips the re-check and reads no colors.
 
-    One scan over the upper rows maps each label of p to the label of q at
-    the same point, which must be one label (refinement).  In a projective
-    diagram an upper point's block goes through exactly when its mirror
-    point carries its label.  A block of p that does not go through must be
-    a block of q: q's block there does not go through either, and no other
-    block of p maps into it.
+    m carries one label on each pair of points of an upper block of p
+    (refinement).  A projective diagram's upper block goes through exactly
+    when its mirror point carries its label.  A block of p that does not go
+    through, with first point i and s points, is a block of m: m's label at
+    i does not go through and sits on exactly s upper points.
     """
     k = p.upper
-    pl, ql = p.labels, q.labels
-    into: dict[int, int] = {}
-    for x, y in zip(pl[:k], ql):
-        if into.setdefault(x, y) != y:
-            return False
-    images = list(into.values())
-    for i in range(k):
-        if pl[k + i] != pl[i]:
-            y = ql[i]
-            if ql[k + i] == y or images.count(y) > 1:
+    up = p.labels[:k]
+    first = {x: up.index(x) for x in up}
+    pairs = [(first[x], i) for i, x in enumerate(up) if first[x] != i]
+    solo = [(i, up.count(x)) for x, i in first.items() if p.labels[k + i] != x]
+
+    def below(m: Partition) -> bool:
+        ml = m.labels
+        for i, j in pairs:
+            if ml[i] != ml[j]:
                 return False
-    return True
+        for i, s in solo:
+            y = ml[i]
+            if ml[k + i] == y or ml[:k].count(y) != s:
+                return False
+        return True
+
+    return below
 
 
 def _dominated_members(spec: CategorySpec, p: Partition) -> list[Partition]:
@@ -284,7 +289,7 @@ def _dominated_members(spec: CategorySpec, p: Partition) -> list[Partition]:
     if p.colored:
         word = p.upper_colors()
         pool = [q for q in pool if q.upper_colors() == word]
-    return [q for q in pool if q != p and _dominates(p, q)]
+    return [q for q in filter(_dominator(p), pool) if q != p]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from particat.partition import (
     identity,
     involution,
     parse_partition,
-    random_partition,
     rotate,
     serialize,
     tensor,
@@ -35,6 +34,8 @@ from particat.categories import (
     projectives,
 )
 from particat.structure import upper_building
+
+from draws import random_partition
 
 NC = CategorySpec.named("nc")
 NC2 = CategorySpec.named("nc2")

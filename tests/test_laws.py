@@ -37,7 +37,7 @@ from particat.partition import (
 )
 from particat.categories import CategorySpec, projectives
 from particat.structure import (
-    _dominates,
+    _dominator,
     _graft,
     _stack,
     enumerate_mixing,
@@ -290,7 +290,7 @@ def test_stack_matches_composition(colored, data):
 @given(projective_pairs())
 def test_domination_is_pq_equals_q(pair):
     for p, q in (pair, pair[::-1]):
-        assert _dominates(p, q) == (compose(p, q).partition == q)
+        assert _dominator(p)(q) == (compose(p, q).partition == q)
 
 
 # projective members with at most three through-blocks, by category and

@@ -20,7 +20,6 @@ from particat.partition import (
     involution,
     is_projective,
     parse_partition,
-    random_partition,
     serialize,
     stats,
     tensor,
@@ -52,6 +51,8 @@ from particat.matrix_model import (
     t_map,
     t_map_rank,
 )
+
+from draws import random_partition
 
 P1 = parse_partition("aab:accc")
 P5_NESTED = Partition.make(4, 4, [(0, 3), (1, 2), (4, 7), (5, 6)])

@@ -21,7 +21,6 @@ from particat.partition import (
     is_noncrossing,
     is_projective,
     parse_partition,
-    random_partition,
     rotate,
     serialize,
     stats,
@@ -44,6 +43,8 @@ from particat.fusion import _block_as_partition, fusion
 from particat.matrix_model import t_map_rank
 from particat.structure import to_through_partition, upper_building
 from particat.verify import _partitions_up_to
+
+from draws import random_partition
 
 P1 = parse_partition("aab:accc")  # three blocks, one through
 P2_CROSSING = Partition.make(2, 2, [(0, 3), (1, 2)])

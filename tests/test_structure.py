@@ -20,7 +20,6 @@ from particat.partition import (
     is_noncrossing,
     is_projective,
     parse_partition,
-    random_partition,
     serialize,
     stats,
     tensor,
@@ -60,6 +59,8 @@ from particat.categories import (
 )
 from particat.verify import _partitions_up_to
 
+from draws import random_partition
+
 P1 = parse_partition("aab:accc")
 FOURBLOCK = parse_partition("aa:aa")
 DOUBLEPAIR = parse_partition("aa:bb")
@@ -85,12 +86,12 @@ def compose_chain(*parts):
     return result
 
 
-def count_calls(monkeypatch, names):
-    """Count the calls of the named ``particat.partition`` functions
-    wherever they are bound."""
+def count_calls(monkeypatch, names, source=partition_module):
+    """Count the calls of the named functions of ``source`` (by default
+    ``particat.partition``) wherever they are bound."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        real = getattr(partition_module, name)
+        real = getattr(source, name)
 
         def counting(*args, name=name, real=real):
             calls[name] += 1
@@ -402,7 +403,7 @@ class TestDomination:
         pairs = list(DOMINATION_CASES[case]())
         below = 0
         for p, q in pairs:
-            got = structure._dominates(p, q)
+            got = structure._dominator(p)(q)
             assert got == dominates_by_composition(p, q), (str(p), str(q))
             below += got
         # both answers occur, so neither side is vacuous
@@ -429,6 +430,21 @@ class TestDomination:
         with pytest.raises(BoundsExceededError, match="entry cap"):
             class_projection(NC, 5, 5)
         assert calls == {"compose": 0}
+
+    @pytest.mark.parametrize("spec", [NCB, UCOL])
+    def test_brute_force_reads_each_dominator_once(self, monkeypatch, spec):
+        # one test for the tensor, one for each operand's lowering and one
+        # per lowered tensor, however large the joint pool
+        pool = [p for k in range(3) for p in projectives(spec, k)]
+        lowered = {p: len(structure._dominated_members(spec, p)) for p in pool}
+        calls = count_calls(monkeypatch, ["_dominator"], structure)
+        for p in pool:
+            for q in pool:
+                calls["_dominator"] = 0
+                fusion_brute_force(spec, p, q)
+                assert calls["_dominator"] == 3 + lowered[p] + lowered[q]
+        # the budget stays below the largest joint pool it scans
+        assert 3 + 2 * max(lowered.values()) < len(projectives(spec, 4))
 
 
 class TestPSigma:

@@ -9,7 +9,9 @@ import pytest
 
 from particat import verify
 from particat.categories import BoundsExceededError
-from particat.partition import Partition, random_partition, serialize
+from particat.partition import Partition, serialize
+
+from draws import random_partition
 
 
 def crp_partition(rng, k, l, colored=False):
@@ -160,6 +162,14 @@ def test_structure_suite_refuses_past_cap(max_points):
         verify.suite_structure(max_points)
     with pytest.raises(BoundsExceededError):
         verify.run_suite("structure", max_points=max_points)
+
+
+@pytest.mark.parametrize("max_points, checks", [(4, 558), (6, 8527)])
+def test_structure_suite_check_counts(max_points, checks):
+    # the domination tests are built once per projective; none is dropped
+    report = verify.suite_structure(max_points)
+    assert report["passed"]
+    assert report["checks"] == checks
 
 
 def test_structure_suite_cap_is_inclusive(monkeypatch):
