@@ -19,20 +19,24 @@ ucol   colored noncrossing pair diagrams whose through-pairs have equal end
 
 Generated categories carry a generator list and a point bound; membership is
 decided against the bounded closure and queries beyond the bound raise
-:class:`UndecidableMembershipError` instead of guessing.  The closure is
-computed in one-row form: rotation is a bijection from P(k, l) to P(0, k + l)
-(a rotated point flips its color), so a category is given by its one-row
-words, which are closed under cyclic rotation, reflection and nested gluing.
-Words, their gluing and the diagrams read back off them come from
-:mod:`particat.partition`, whose composition glues the same way.  A bound
-below 2 or below a generator's points raises ``ValueError`` as the spec is
-built, before any query, and a closure of more than :data:`CLOSURE_CAP`
-words raises :class:`BoundsExceededError`.
+:class:`UndecidableMembershipError` instead of guessing.  A spec works out its
+closure on its first query within the bound and keeps it; equal specs share
+one closure through :data:`_CLOSURE_CACHE`.  The closure is computed in
+one-row form: rotation is a bijection from P(k, l) to P(0, k + l) (a rotated
+point flips its color), so a category is given by its one-row words, which
+are closed under cyclic rotation, reflection and nested gluing.  Words, their
+gluing and the diagrams read back off them come from
+:mod:`particat.partition`, whose composition glues the same way.  A bound that
+is not an int raises ``TypeError``, and a bound below 2 or below a
+generator's points ``ValueError``, as the spec is built, before any query; a
+closure of more than :data:`CLOSURE_CAP` words raises
+:class:`BoundsExceededError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import comb
 from typing import Iterable, Iterator, Optional
@@ -100,9 +104,12 @@ class UndecidableMembershipError(RuntimeError):
 
 
 def _check_generators(gens: tuple[Partition, ...], max_points: int) -> None:
-    """Refuse generators of both color modes (:class:`ColorError`) and a
-    point bound below 2, the points of the strand, or below the points of a
-    generator (``ValueError``)."""
+    """Refuse a point bound that is not an int (``TypeError``), generators of
+    both color modes (:class:`ColorError`) and a point bound below 2, the
+    points of the strand, or below the points of a generator
+    (``ValueError``)."""
+    if not isinstance(max_points, int):
+        raise TypeError(f"the point bound must be an int, got {max_points!r}")
     if len({g.colored for g in gens}) > 1:
         raise ColorError("generators mix colored and uncolored diagrams")
     need = max([2, *(g.n_points for g in gens)])
@@ -115,13 +122,17 @@ def _check_generators(gens: tuple[Partition, ...], max_points: int) -> None:
 
 @dataclass(frozen=True)
 class CategorySpec:
-    """Either a named built-in or a generator list with a point bound."""
+    """Either a named built-in or a generator list (stored as a tuple) with a
+    point bound.  Its color mode and a generated category's closure are
+    worked out on first use and kept outside the three fields, which alone
+    make up equality, the hash and the repr."""
 
     builtin: Optional[str] = None
     generators: tuple[Partition, ...] = ()
     max_points: int = DEFAULT_MAX_POINTS
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "generators", tuple(self.generators))
         if self.builtin is not None:
             if self.builtin not in BUILTIN_IDS:
                 raise ValueError(f"unknown builtin category {self.builtin!r}")
@@ -134,11 +145,21 @@ class CategorySpec:
     def named(builtin: str) -> "CategorySpec":
         return CategorySpec(builtin=builtin)
 
-    @property
+    @cached_property
     def colored(self) -> bool:
         if self.builtin is not None:
             return self.builtin == "ucol"
         return bool(self.generators) and self.generators[0].colored
+
+    @cached_property
+    def _closure(self) -> frozenset[Partition]:
+        """The bounded closure, shared by equal specs through
+        :data:`_CLOSURE_CACHE`."""
+        members = _CLOSURE_CACHE.get(self)
+        if members is None:
+            members = closure(self.generators, self.max_points)
+            _CLOSURE_CACHE[self] = members
+        return members
 
     def name(self) -> str:
         if self.builtin is not None:
@@ -305,27 +326,21 @@ def closure(
     return frozenset(p for w in words for p in _diagrams(w))
 
 
-def _closure_of(spec: CategorySpec) -> frozenset[Partition]:
-    cached = _CLOSURE_CACHE.get(spec)
-    if cached is None:
-        cached = closure(spec.generators, spec.max_points)
-        _CLOSURE_CACHE[spec] = cached
-    return cached
-
-
 # ---------------------------------------------------------------------------
 # membership
 
 
 def membership(spec: CategorySpec, p: Partition) -> Optional[bool]:
-    """Three-valued membership: True, False, or None when undecidable."""
+    """Three-valued membership: True, False, or None when undecidable.  A
+    generated category checks the color mode and the bound before it reads
+    the closure its spec keeps (:class:`CategorySpec`)."""
     if spec.builtin is not None:
         return _builtin_contains(spec.builtin, p)
-    if p.colored != spec.colored:
+    if (p.colors is not None) != spec.colored:
         raise ColorError("diagram color mode does not match the category")
-    if p.n_points > spec.max_points:
+    if p.upper + p.lower > spec.max_points:
         return None
-    return p in _closure_of(spec)
+    return p in spec._closure
 
 
 def contains(spec: CategorySpec, p: Partition) -> bool:

@@ -1,8 +1,11 @@
 """Built-in predicates, generated closures, enumeration, projectives."""
 
+import dataclasses
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from typing import Iterable, Iterator
 
@@ -357,6 +360,180 @@ class TestClosure:
         assert membership(spec, big) is None
         with pytest.raises(UndecidableMembershipError):
             contains(spec, big)
+
+
+# the generated categories of the benchmark's membership queries, and its
+# colored closure job, all at the benchmark's bound of 6 points
+BENCH_GENERATORS = (":a", "aa:aa", "ab:ba", "abc:cba", "", "ab@wb:ba@bw")
+BENCH_BOUND = 6
+
+
+def _generators(text: str) -> tuple[Partition, ...]:
+    return (parse_partition(text),) if text else ()
+
+
+SHARED_SPECS = {
+    text: CategorySpec(generators=_generators(text), max_points=BENCH_BOUND)
+    for text in BENCH_GENERATORS
+}
+
+
+@functools.cache
+def direct_closure(text: str) -> tuple[frozenset, tuple[Partition, ...]]:
+    """closure() called directly, and its members in canonical order."""
+    members = closure(_generators(text), BENCH_BOUND)
+    return members, tuple(sorted(members, key=Partition.sort_key))
+
+
+def draw_diagram(data, colored: bool) -> Partition:
+    """A random diagram of at most two points past the benchmark's bound."""
+    n = data.draw(st.integers(0, BENCH_BOUND + 2))
+    k = data.draw(st.integers(0, n))
+    return random_partition(data.draw(st.randoms()), k, n - k, colored)
+
+
+class _CountedCache(dict):
+    """A closure cache that counts its reads."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.reads += 1
+        return super().__contains__(key)
+
+
+def _count_closures(monkeypatch) -> dict[str, int]:
+    """Count the closure() calls that specs make, against an empty cache."""
+    calls = {"closure": 0}
+
+    def counted(*args, _original=closure):
+        calls["closure"] += 1
+        return _original(*args)
+
+    monkeypatch.setattr(categories, "closure", counted)
+    monkeypatch.setattr(categories, "_CLOSURE_CACHE", _CountedCache())
+    return calls
+
+
+class TestSpec:
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(BENCH_GENERATORS), st.booleans(), st.data())
+    def test_membership_matches_closure(self, text, fresh, data):
+        # differential: membership on a reused or a fresh spec against
+        # closure() called directly, on members and on random diagrams up to
+        # two points past the bound, and in the other color mode
+        spec = SHARED_SPECS[text]
+        if fresh:
+            spec = CategorySpec(generators=_generators(text), max_points=BENCH_BOUND)
+        members, ordered = direct_closure(text)
+        colored = "@" in text
+        if data.draw(st.booleans()):
+            p = data.draw(st.sampled_from(ordered))
+        else:
+            p = draw_diagram(data, colored)
+        expected = None if p.n_points > BENCH_BOUND else p in members
+        assert membership(spec, p) is expected
+        other = draw_diagram(data, not colored)
+        with pytest.raises(ColorError):  # before the bound check
+            membership(spec, other)
+
+    def test_queries_past_the_bound_build_no_closure(self, monkeypatch):
+        # op budget: ab:ba within 12 points would pass CLOSURE_CAP, but
+        # queries past the bound or in the other color mode never build it
+        calls = _count_closures(monkeypatch)
+        spec = CategorySpec(generators=(parse_partition("ab:ba"),), max_points=12)
+        rng = random.Random(28)
+        for _ in range(200):
+            n = rng.randrange(13, 16)
+            k = rng.randrange(n + 1)
+            assert membership(spec, random_partition(rng, k, n - k)) is None
+            n = rng.randrange(16)
+            k = rng.randrange(n + 1)
+            with pytest.raises(ColorError):
+                membership(spec, random_partition(rng, k, n - k, colored=True))
+        assert calls == {"closure": 0}
+        with pytest.raises(BoundsExceededError):
+            membership(spec, parse_partition("ab:ba"))
+        assert calls == {"closure": 1}
+
+    def test_one_cache_read_per_spec(self, monkeypatch):
+        # op budget: 100 queries on one spec read the shared cache once
+        calls = _count_closures(monkeypatch)
+        spec = CategorySpec(generators=(FOURBLOCK,), max_points=6)
+        rng = random.Random(28)
+        answers = set()
+        for _ in range(100):
+            n = rng.randrange(BENCH_BOUND + 1)
+            k = rng.randrange(n + 1)
+            answers.add(membership(spec, random_partition(rng, k, n - k)))
+        assert answers == {True, False}
+        assert categories._CLOSURE_CACHE.reads == 1
+        assert calls == {"closure": 1}
+
+    def test_equal_specs_share_one_closure(self, monkeypatch):
+        # op budget: two equal specs built separately run closure() once
+        calls = _count_closures(monkeypatch)
+        first = CategorySpec(generators=(FOURBLOCK,), max_points=6)
+        second = CategorySpec(generators=[parse_partition("aa:aa")], max_points=6)
+        assert first is not second
+        assert membership(first, parse_partition("aaaa:")) is True
+        assert membership(second, parse_partition("aaa:a")) is True
+        assert membership(second, parse_partition("ab:ba")) is False
+        assert calls == {"closure": 1}
+
+    def test_cached_facts_stay_outside_value_semantics(self):
+        spec = CategorySpec(generators=(FOURBLOCK,), max_points=6)
+        unused = CategorySpec(generators=(FOURBLOCK,), max_points=6)
+        assert spec.colored is False
+        assert membership(spec, parse_partition("aa:aa")) is True
+        assert membership(spec, parse_partition("a:")) is False
+        fresh = CategorySpec(generators=(FOURBLOCK,), max_points=6)
+        assert spec == fresh == unused
+        assert hash(spec) == hash(fresh) == hash(unused)
+        assert repr(spec) == repr(fresh) == repr(unused)
+        assert [f.name for f in dataclasses.fields(CategorySpec)] == [
+            "builtin",
+            "generators",
+            "max_points",
+        ]
+        wider = dataclasses.replace(spec, max_points=8)
+        assert wider != spec and wider.max_points == 8
+        assert membership(wider, parse_partition("aaaa:aaaa")) is True
+        assert membership(spec, parse_partition("aaaa:aaaa")) is None
+        assert dataclasses.replace(wider, max_points=6) == spec
+
+    def test_generators_in_any_iterable(self):
+        g = parse_partition("ab:ba")
+        forms = [
+            CategorySpec(generators=(g,), max_points=6),
+            CategorySpec(generators=[g], max_points=6),
+            CategorySpec(generators=(x for x in [g]), max_points=6),
+        ]
+        assert all(spec.generators == (g,) for spec in forms)
+        assert forms[0] == forms[1] == forms[2]
+        assert len({hash(spec) for spec in forms}) == 1
+        for text in ("ab:ba", "ab:ab", "abc:cab", "a:a", "ab:", "abcd:dcba"):
+            p = parse_partition(text)
+            assert len({membership(spec, p) for spec in forms}) == 1
+        assert CategorySpec(builtin="nc", generators=[]) == NC
+
+    @pytest.mark.parametrize("bound", [6.5, 6.0, "6", None])
+    def test_bound_that_is_not_an_int_is_refused(self, bound):
+        gens = (parse_partition("ab:ba"),)
+        with pytest.raises(TypeError, match="point bound must be an int"):
+            CategorySpec(generators=gens, max_points=bound)
+        with pytest.raises(TypeError, match="point bound must be an int"):
+            closure(gens, bound)
 
 
 class TestEnumerate:
