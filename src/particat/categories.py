@@ -20,12 +20,12 @@ ucol   colored noncrossing pair diagrams whose through-pairs have equal end
 Generated categories carry a generator list and a point bound; membership is
 decided against the bounded closure and queries beyond the bound raise
 :class:`UndecidableMembershipError` instead of guessing.  A spec works out its
-closure on its first query within the bound and keeps it; equal specs share
-one closure through :data:`_CLOSURE_CACHE`.  The closure is computed in
-one-row form: rotation is a bijection from P(k, l) to P(0, k + l) (a rotated
-point flips its color), so a category is given by its one-row words, which
-are closed under cyclic rotation, reflection and nested gluing.  Words, their
-gluing and the diagrams read back off them come from
+closure on its first query within the bound and keeps it, or its refusal;
+equal specs share one closure through :data:`_CLOSURE_CACHE`.  The closure
+is computed in one-row form: rotation is a bijection from P(k, l) to
+P(0, k + l) (a rotated point flips its color), so a category is given by its
+one-row words, which are closed under cyclic rotation, reflection and nested
+gluing.  Words, their gluing and the diagrams read back off them come from
 :mod:`particat.partition`, whose composition glues the same way.  A bound that
 is not an int raises ``TypeError``, and a bound below 2 or below a
 generator's points ``ValueError``, as the spec is built, before any query; a
@@ -154,11 +154,18 @@ class CategorySpec:
     @cached_property
     def _closure(self) -> frozenset[Partition]:
         """The bounded closure, shared by equal specs through
-        :data:`_CLOSURE_CACHE`."""
+        :data:`_CLOSURE_CACHE`.  A closure past :data:`CLOSURE_CAP` is
+        refused once: the cache keeps the refusal, which a cached_property
+        cannot, and every later read raises it again."""
         members = _CLOSURE_CACHE.get(self)
         if members is None:
-            members = closure(self.generators, self.max_points)
+            try:
+                members = closure(self.generators, self.max_points)
+            except BoundsExceededError as refusal:
+                members = refusal
             _CLOSURE_CACHE[self] = members
+        if isinstance(members, BoundsExceededError):
+            raise BoundsExceededError(*members.args)
         return members
 
     def name(self) -> str:
@@ -215,7 +222,10 @@ def _builtin_contains(builtin: str, p: Partition) -> bool:
 # ---------------------------------------------------------------------------
 # bounded closure of generated categories
 
-_CLOSURE_CACHE: dict[CategorySpec, frozenset[Partition]] = {}
+# a spec's bounded closure, or the refusal of a closure past CLOSURE_CAP
+_CLOSURE_CACHE: dict[
+    CategorySpec, frozenset[Partition] | BoundsExceededError
+] = {}
 
 # One-row words a closure may hold before it is refused.  ``:a`` at 8 points
 # (539 words, the ncb category) is the largest closure in use; ``:a`` at the

@@ -72,7 +72,7 @@ PROJECTION_ENTRIES_CAP = 2 * 10**7
 # tagged 2 * (index of its block among the blocks meeting the row, in label
 # order) + (1 for a through-block).  Through-blocks keep the label order on
 # both rows, so the upper and the lower codes line up.  Ranks need no
-# signature (t_map_rank); maps and projection columns do.
+# signature (t_map_rank, _map_family_rank); maps and projection columns do.
 
 
 # keyed by (N, *pattern); the only cache of the matrix model
@@ -225,17 +225,37 @@ def check_functor(bottom: Partition, top: Partition, N: int) -> dict:
     return report
 
 
+def _merges(b: int, N: int) -> list[tuple[int, ...]]:
+    """The merges of b labelled blocks into at most N: the restricted growth
+    strings of length b with values below N."""
+    gs = [()]
+    for _ in range(b):
+        gs = [g + (x,) for g in gs for x in range(min(len(set(g)) + 1, N))]
+    return gs
+
+
 def _map_family_rank(spec: CategorySpec, k: int, N: int) -> tuple[int, int]:
-    """Member count of C(k, k) and the exact rank of its diagram maps,
-    each flattened to a sparse 0/1 vector.  Defined for uncolored
-    categories (the maps ignore colors, so mixed colorings would alias)."""
+    """Member count of C(k, k) and the rank of its maps on kernel partitions:
+    with ker f the level sets of an assignment f of [N] to the 2k points,
+    T_p sums the disjoint indicators of {f : ker f = r} over the coarsenings
+    r of p (its labels read through a merge), nonzero iff r has at most N
+    blocks.  So the rank is that of Z[p, r] = [p refines r, #blocks(r) <= N]
+    and the Gram matrix is Z D Z^T, D = diag (N)_#blocks(r) (Banica-Curran).
+    No map is built.  Colored categories are refused (the maps ignore
+    colors), then the enumeration's refusals, then a bad N or the rows cap."""
     if spec.colored:
         raise ColorError("diagram-map ranks need an uncolored category")
     members = enumerate_in(spec, k, k)
+    _check_rows(k, N)
+    merges: dict[int, list[tuple[int, ...]]] = {}
+    column: dict[tuple[int, ...], int] = {}
     ech = linalg.SparseEchelon()
     for q in members:
-        flat = t_map(q, N).ravel()
-        ech.insert(dict.fromkeys(np.flatnonzero(flat).tolist(), 1))
+        b = max(q.labels, default=-1) + 1
+        if b not in merges:
+            merges[b] = _merges(b, N)
+        keys = (tuple(map(g.__getitem__, q.labels)) for g in merges[b])
+        ech.insert({column.setdefault(r, len(column)): 1 for r in keys})
     return len(members), ech.rank
 
 
@@ -243,9 +263,10 @@ def independent(spec: CategorySpec, k: int, N: int) -> dict:
     """Rank over Q of the family of all diagram maps in C(k, k).
 
     The family is linearly dependent exactly when the rank falls short of
-    the member count.  The rank equals that of the Gram matrix
-    <T_p, T_q> = N^#blocks(p v q), which is never built.  Raises
-    ``ColorError`` on a colored category."""
+    the member count.  It is read in the basis of kernel partitions, where
+    the Gram matrix <T_p, T_q> = N^#blocks(p v q) factors as Z D Z^T and
+    rank Z is the rank (:func:`_map_family_rank`); neither is built.
+    Raises ``ColorError`` on a colored category."""
     count, rk = _map_family_rank(spec, k, N)
     return {
         "category": spec.name(),
@@ -452,7 +473,8 @@ def brauer_product(
 
 def brauer_kernel_dim(spec: CategorySpec, k: int, N: int) -> int:
     """Dimension of the kernel of the algebra's matrix representation:
-    member count minus the rank of the family of flattened diagram maps.
+    member count minus the rank of the diagram maps, read on kernel
+    partitions (rank Z of the Gram matrix Z D Z^T, :func:`_map_family_rank`).
     Raises ``ColorError`` on a colored category."""
     count, rk = _map_family_rank(spec, k, N)
     return count - rk

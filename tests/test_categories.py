@@ -466,6 +466,25 @@ class TestSpec:
             membership(spec, parse_partition("ab:ba"))
         assert calls == {"closure": 1}
 
+    def test_refused_closure_built_once(self, monkeypatch):
+        # op budget: a closure past CLOSURE_CAP is refused once; every later
+        # query within the bound raises the same refusal from the cache
+        calls = _count_closures(monkeypatch)
+        spec = CategorySpec(generators=(parse_partition("ab:ba"),), max_points=12)
+        equal = CategorySpec(generators=(parse_partition("ab:ba"),), max_points=12)
+        errors = set()
+        for p in ("ab:ba", "a:a", "ab:ba", ":aa"):
+            for each in (spec, equal):
+                with pytest.raises(BoundsExceededError) as info:
+                    membership(each, parse_partition(p))
+                errors.add((type(info.value), str(info.value)))
+        assert errors == {(
+            BoundsExceededError,
+            "the closure of 1 generator(s) within 12 points exceeds the cap "
+            f"of {CLOSURE_CAP} one-row words",
+        )}
+        assert calls == {"closure": 1}
+
     def test_one_cache_read_per_spec(self, monkeypatch):
         # op budget: 100 queries on one spec read the shared cache once
         calls = _count_closures(monkeypatch)

@@ -176,6 +176,24 @@ class TestMember:
         argv = ["member", "--category", f"gen:{gens}", "--partition", "a:a"]
         assert run_error(capsys, argv) == EXIT_BOUNDS
 
+    def test_closure_cap_exit_repeats(self, capsys, tmp_path):
+        # a refused closure is kept in the closure cache: asked again in one
+        # process, the request exits 3 with the same error
+        gens = tmp_path / "g.txt"
+        gens.write_text("ab:ba\n", encoding="utf-8")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_points": 12}), encoding="utf-8")
+        error = (
+            "the closure of 1 generator(s) within 12 points exceeds the cap "
+            "of 1000 one-row words"
+        )
+        want = json.dumps({"schema": "particat/1", "error": error}) + "\n"
+        for partition in ("ab:ba", "a:a", "ab:ba"):
+            argv = ["--config", str(cfg), "member", "--category",
+                    f"gen:{gens}", "--partition", partition]
+            assert run(argv) == EXIT_BOUNDS
+            assert capsys.readouterr() == ("", want)
+
     @pytest.mark.parametrize("bound, code", [(2, EXIT_PARSE), (4, EXIT_OK)])
     def test_generator_beyond_bound_exit(self, capsys, tmp_path, bound, code):
         # a generator larger than the bound is refused, not silently dropped,
@@ -329,6 +347,26 @@ class TestBrauer:
         # the maps ignore colors, so a colored family would alias
         argv = ["brauer", "--category", "ucol", "--k", "2", "--N", "2"]
         assert run_error(capsys, argv) == EXIT_PARSE
+
+    @pytest.mark.parametrize(
+        "category, k, N, code, error",
+        [
+            ("p", 6, 5, EXIT_BOUNDS, "enumeration of 12 points exceeds the cap 10"),
+            ("p", 6, 0, EXIT_BOUNDS, "enumeration of 12 points exceeds the cap 10"),
+            ("nc", 5, 6, EXIT_BOUNDS,
+             "matrix would have more than 4096 rows or columns"),
+            ("nc", 0, 0, EXIT_PARSE, "N must be at least 1"),
+            ("ucol", 2, 0, EXIT_PARSE,
+             "diagram-map ranks need an uncolored category"),
+        ],
+    )
+    def test_kernel_mode_refusals(self, capsys, category, k, N, code, error):
+        # the color mode first, then the enumeration's cap, then a bad N
+        # and the rows cap, each with its exact JSON error
+        argv = ["brauer", "--category", category, "--k", str(k), "--N", str(N)]
+        assert run(argv) == code
+        want = json.dumps({"schema": "particat/1", "error": error}) + "\n"
+        assert capsys.readouterr() == ("", want)
 
 
 class TestSym:

@@ -101,6 +101,18 @@ def rank_by_unique(p, N):
     return int(np.intersect1d(upper_codes, lower_codes).size)
 
 
+def flattened_rank(spec, k, N):
+    """Member count of C(k, k) and the rank of its maps, each built densely
+    and flattened to a sparse 0/1 vector of length N^2k: the oracle of the
+    rank read on kernel partitions."""
+    members = enumerate_in(spec, k, k)
+    ech = linalg.SparseEchelon()
+    for q in members:
+        flat = t_map(q, N).ravel()
+        ech.insert(dict.fromkeys(np.flatnonzero(flat).tolist(), 1))
+    return len(members), ech.rank
+
+
 def normalized(p, N):
     """The normalized map N^(-beta/2) T_p as a Fraction matrix, for a
     diagram with even beta."""
@@ -452,6 +464,55 @@ class TestIndependence:
             == gram.rank()
         )
 
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "spec",
+        [CategorySpec.named(name) for name in BUILTIN_IDS if name != "ucol"]
+        + [
+            CategorySpec(generators=(parse_partition(g),), max_points=6)
+            for g in (":a", "ab:ba")
+        ],
+        ids=lambda spec: spec.name(),
+    )
+    def test_matches_flattened_maps(self, spec, k, N):
+        # differential: kernel partitions against the flattened maps
+        report = independent(spec, k, N)
+        oracle = flattened_rank(spec, k, N)
+        assert (report["count"], report["rank"]) == oracle
+        assert brauer_kernel_dim(spec, k, N) == oracle[0] - oracle[1]
+
+    @pytest.mark.parametrize(
+        "name,max_k,max_N,threshold",
+        [("p", 3, 6, lambda k: 2 * k), ("p2", 4, 5, lambda k: k)],
+        ids=["jones", "brauer"],
+    )
+    def test_independence_thresholds(self, name, max_k, max_N, threshold):
+        # P(k, k) maps are independent iff N >= 2k (Jones 1994), the pair
+        # diagrams' iff N >= k (Brauer 1937)
+        spec = CategorySpec.named(name)
+        for k in range(max_k + 1):
+            for N in range(1, max_N + 1):
+                dependent = independent(spec, k, N)["dependent"]
+                assert dependent == (N < threshold(k)), (k, N)
+
+    @pytest.mark.parametrize(
+        "name,k,N,count,rank",
+        [("p", 3, 5, 203, 202), ("p2", 4, 3, 105, 91), ("nc", 4, 4, 1430, 1430)],
+    )
+    def test_known_ranks(self, name, k, N, count, rank):
+        report = independent(CategorySpec.named(name), k, N)
+        assert (report["count"], report["rank"]) == (count, rank)
+
+    def test_family_rank_builds_no_map(self, monkeypatch):
+        # op budget: no diagram map and no row signature is built
+        def refuse(*args):
+            raise AssertionError("a diagram map was built")
+
+        monkeypatch.setattr(mm, "t_map", refuse)
+        monkeypatch.setattr(mm, "_row_signature", refuse)
+        assert independent(NC, 3, 4)["rank"] == 132
+        assert brauer_kernel_dim(P_ALL, 2, 2) == 7
 
     def test_colored_category_refused(self):
         # the maps ignore colors, so the colorings of one diagram alias
