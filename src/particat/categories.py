@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import comb
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .partition import (
     ArityError,
@@ -86,8 +86,6 @@ __all__ = [
     "PROJECTIVES_CAP",
     "CLOSURE_CAP",
 ]
-
-BUILTIN_IDS = ("p", "p2", "nc", "nc2", "ncb", "nceven", "ucol")
 
 DEFAULT_MAX_POINTS = 10
 MAX_ENUM_POINTS = 10
@@ -138,6 +136,8 @@ class CategorySpec:
                 raise ValueError(f"unknown builtin category {self.builtin!r}")
             if self.generators:
                 raise ValueError("builtin categories take no generators")
+            if self.max_points != DEFAULT_MAX_POINTS:
+                raise ValueError("builtin categories take no point bound")
         else:
             _check_generators(self.generators, self.max_points)
 
@@ -148,7 +148,7 @@ class CategorySpec:
     @cached_property
     def colored(self) -> bool:
         if self.builtin is not None:
-            return self.builtin == "ucol"
+            return _BUILTINS[self.builtin].colored
         return bool(self.generators) and self.generators[0].colored
 
     @cached_property
@@ -192,31 +192,34 @@ def _ucol_colors_ok(p: Partition) -> bool:
     return True
 
 
-def _blocks_ok(builtin: str, p: Partition) -> bool:
-    """The built-in's condition on the blocks alone, crossing aside: pairs,
-    even blocks, blocks of at most two points, or the colored pairs."""
-    if builtin in ("p", "nc"):
-        return True
-    if builtin in ("p2", "nc2"):
-        return is_pair(p)
-    if builtin == "ncb":
-        return blocks_at_most_two(p)
-    if builtin == "nceven":
-        return all_blocks_even(p)
-    if builtin == "ucol":
-        return is_pair(p) and _ucol_colors_ok(p)
-    raise ValueError(f"unknown builtin {builtin!r}")
+class _Builtin(NamedTuple):
+    colored: bool
+    crossing: bool  # whether members may cross
+    blocks_ok: Callable[[Partition], bool]  # the rule on blocks, crossing aside
+
+
+# every built-in by id, in the order the CLI lists them
+_BUILTINS: dict[str, _Builtin] = {
+    "p": _Builtin(False, True, lambda p: True),
+    "p2": _Builtin(False, True, is_pair),
+    "nc": _Builtin(False, False, lambda p: True),
+    "nc2": _Builtin(False, False, is_pair),
+    "ncb": _Builtin(False, False, blocks_at_most_two),
+    "nceven": _Builtin(False, False, all_blocks_even),
+    "ucol": _Builtin(True, False, lambda p: is_pair(p) and _ucol_colors_ok(p)),
+}
+BUILTIN_IDS = tuple(_BUILTINS)
 
 
 def _builtin_contains(builtin: str, p: Partition) -> bool:
-    if builtin == "ucol":
-        if not p.colored:
-            raise ColorError("the colored pair category needs colored diagrams")
-    elif p.colored:
-        raise ColorError(f"category {builtin!r} holds uncolored diagrams")
-    return _blocks_ok(builtin, p) and (
-        builtin in ("p", "p2") or is_noncrossing(p)
-    )
+    rule = _BUILTINS[builtin]
+    if p.colored != rule.colored:
+        raise ColorError(
+            "the colored pair category needs colored diagrams"
+            if rule.colored
+            else f"category {builtin!r} holds uncolored diagrams"
+        )
+    return rule.blocks_ok(p) and (rule.crossing or is_noncrossing(p))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +372,7 @@ def is_noncrossing_spec(spec: CategorySpec) -> bool:
     generated categories it is decided on the generators, which is enough
     since the operations preserve noncrossingness)."""
     if spec.builtin is not None:
-        return spec.builtin != "p" and spec.builtin != "p2"
+        return not _BUILTINS[spec.builtin].crossing
     return all(is_noncrossing(g) for g in spec.generators)
 
 
@@ -377,16 +380,12 @@ def is_noncrossing_spec(spec: CategorySpec) -> bool:
 # enumeration
 
 
-def _colorings(p: Partition) -> Iterator[Partition]:
-    for colors in product((WHITE, BLACK), repeat=p.n_points):
-        yield Partition(p.upper, p.lower, p.labels, colors)
-
-
 def enumerate_in(spec: CategorySpec, k: int, l: int) -> list[Partition]:
     """All members of the category with k upper and l lower points.
 
-    Brute force over set partitions (and colorings in colored mode), guarded
-    by the Bell-number growth cap.
+    Brute force over the set partitions of the k + l points, each in every
+    coloring in colored mode, guarded by the cap of :data:`MAX_ENUM_POINTS`
+    points.  ucol tries colorings only on noncrossing pairings.
     """
     if k < 0 or l < 0:
         raise ArityError(f"row sizes must be nonnegative, got ({k}, {l})")
@@ -394,20 +393,20 @@ def enumerate_in(spec: CategorySpec, k: int, l: int) -> list[Partition]:
         raise BoundsExceededError(
             f"enumeration of {k + l} points exceeds the cap {MAX_ENUM_POINTS}"
         )
+    if spec.colored:
+        colorings = list(product((WHITE, BLACK), repeat=k + l))
+    else:
+        colorings = [None]
     out = []
     for labels in all_set_partitions(k + l):  # canonical as generated
-        base = Partition(k, l, labels)
-        if spec.colored:
-            if spec.builtin == "ucol" and not (
-                is_pair(base) and is_noncrossing(base)
-            ):
+        if spec.builtin == "ucol":
+            shape = Partition(k, l, labels)
+            if not (is_pair(shape) and is_noncrossing(shape)):
                 continue
-            for cand in _colorings(base):
-                if contains(spec, cand):
-                    out.append(cand)
-        else:
-            if contains(spec, base):
-                out.append(base)
+        for colors in colorings:
+            cand = Partition(k, l, labels, colors)
+            if contains(spec, cand):
+                out.append(cand)
     out.sort(key=Partition.sort_key)
     return out
 

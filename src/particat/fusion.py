@@ -48,19 +48,17 @@ from .structure import (
     _dominated_members,
     _dominator,
     _equivalence_classes,
-    _equivalent,
     _graft,
     _nested_mixings,
     boxvert,
     enumerate_mixing,
-    upper_building,
     word_h,
     word_u,
 )
 from .categories import (
     BoundsExceededError,
     CategorySpec,
-    _blocks_ok,
+    _BUILTINS,
     contains,
     enumerate_in,
     is_noncrossing_spec,
@@ -206,7 +204,7 @@ def fusion(spec: CategorySpec, p: Partition, q: Partition) -> FusionResult:
     grafts = _graft(p, q, mixings(stats(p).t, stats(q).t))
     belongs = partial(contains, spec)
     if mixings is _nested_mixings and spec.builtin is not None:
-        belongs = partial(_blocks_ok, spec.builtin)  # the grafts do not cross
+        belongs = _BUILTINS[spec.builtin].blocks_ok  # the grafts do not cross
     members = [(m, stats(m).t) for m in grafts if belongs(m)]
     _by_t_and_text(members)
     return FusionResult(tuple(members))
@@ -310,17 +308,11 @@ def label_to_partition(scheme: Optional[str], label: Union[int, str]) -> Partiti
     empty diagram elsewhere; word schemes tensor the single-block letters.
     """
     value = _label_value(scheme, label)
-    if scheme == "H":
-        rep = empty_partition()
-        four = parse_partition("aa:aa")
-        strand = identity(1)
+    if scheme in ("H", "U"):  # one single-block diagram per letter
+        letters = {"0": "aa:aa", "1": "a:a", "w": "a@w:a@w", "b": "a@b:a@b"}
+        rep = empty_partition(colored=scheme == "U")
         for ch in value:
-            rep = tensor(rep, four if ch == "0" else strand)
-        return rep
-    if scheme == "U":
-        rep = empty_partition(colored=True)
-        for ch in value:
-            rep = tensor(rep, identity(1, colors=ch))
+            rep = tensor(rep, parse_partition(letters[ch]))
         return rep
     if value < 0:
         raise ValueError("labels are nonnegative")
@@ -520,14 +512,11 @@ def freeness_probe(spec: CategorySpec, max_arity: int = 3) -> dict:
         if p.n_blocks == 1
     ]
     reps = [cls[0] for cls in _equivalence_classes(spec, single_blocks)]
-    heads = [upper_building(rep) for rep in reps]  # as _equivalence_classes
 
     def letter_of(p: Partition) -> Optional[int]:
-        pu = upper_building(p)
-        for idx, head in enumerate(heads):
-            if _equivalent(spec, head, pu):
-                return idx
-        return None
+        # the letter whose class p joins; a class of p alone is no letter
+        classes = _equivalence_classes(spec, reps + [p])
+        return next((i for i, c in enumerate(classes) if p in c[1:]), None)
 
     involution_table = {}
     for idx, rep in enumerate(reps):

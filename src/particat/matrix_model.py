@@ -24,6 +24,7 @@ from .partition import (
     ArityError,
     ColorError,
     Partition,
+    all_set_partitions,
     compose,
     involution,
     is_projective,
@@ -225,21 +226,13 @@ def check_functor(bottom: Partition, top: Partition, N: int) -> dict:
     return report
 
 
-def _merges(b: int, N: int) -> list[tuple[int, ...]]:
-    """The merges of b labelled blocks into at most N: the restricted growth
-    strings of length b with values below N."""
-    gs = [()]
-    for _ in range(b):
-        gs = [g + (x,) for g in gs for x in range(min(len(set(g)) + 1, N))]
-    return gs
-
-
 def _map_family_rank(spec: CategorySpec, k: int, N: int) -> tuple[int, int]:
     """Member count of C(k, k) and the rank of its maps on kernel partitions:
     with ker f the level sets of an assignment f of [N] to the 2k points,
     T_p sums the disjoint indicators of {f : ker f = r} over the coarsenings
-    r of p (its labels read through a merge), nonzero iff r has at most N
-    blocks.  So the rank is that of Z[p, r] = [p refines r, #blocks(r) <= N]
+    r of p (its labels read through a growth string of its blocks, from
+    :func:`all_set_partitions`), nonzero iff r has at most N blocks.  So
+    the rank is that of Z[p, r] = [p refines r, #blocks(r) <= N]
     and the Gram matrix is Z D Z^T, D = diag (N)_#blocks(r) (Banica-Curran).
     No map is built.  Colored categories are refused (the maps ignore
     colors), then the enumeration's refusals, then a bad N or the rows cap."""
@@ -253,7 +246,7 @@ def _map_family_rank(spec: CategorySpec, k: int, N: int) -> tuple[int, int]:
     for q in members:
         b = max(q.labels, default=-1) + 1
         if b not in merges:
-            merges[b] = _merges(b, N)
+            merges[b] = all_set_partitions(b, N)
         keys = (tuple(map(g.__getitem__, q.labels)) for g in merges[b])
         ech.insert({column.setdefault(r, len(column)): 1 for r in keys})
     return len(members), ech.rank
@@ -363,7 +356,7 @@ def class_projection(spec: CategorySpec, k: int, N: int) -> list[dict]:
         words: dict = {}
         for q, b in zip(rec["members"], bases):
             words.setdefault(q.colors, []).extend(u for u, _ in b)
-        rank_class = sum(len(linalg.orthogonal_basis(us)) for us in words.values())
+        rank_class = sum(linalg.rank(np.array(us)) for us in words.values())
         rank_rep = len(bases[0])
         divides = rank_rep and rank_class % rank_rep == 0
         rec["rank_class"], rec["rank_rep"] = rank_class, rank_rep

@@ -556,22 +556,17 @@ def parse_partition(text: str) -> Partition:
 # enumeration and random generation
 
 
-def all_set_partitions(n: int):
-    """Yield all set partitions of 0..n-1 as restricted growth strings: a
-    block label per point, the blocks numbered by first appearance, as
-    :attr:`Partition.labels` holds them."""
-    rgs = [0] * n
-
-    def rec(i: int, max_used: int):
-        if i == n:
-            yield tuple(rgs)
-            return
-        for g in range(max_used + 2):
-            rgs[i] = g
-            yield from rec(i + 1, max(max_used, g))
-
-    # with no block used yet, the first point opens block 0; n = 0 yields ()
-    yield from rec(0, -1)
+def all_set_partitions(n: int, most: Optional[int] = None) -> list[tuple[int, ...]]:
+    """The list of set partitions of 0..n-1 into at most ``most`` blocks
+    (any number when None) as restricted growth strings: a block label per
+    point, the blocks numbered by first appearance, as
+    :attr:`Partition.labels` holds them.  Built level by level, one point
+    at a time, in lexicographic order; n = 0 gives [()]."""
+    cap = n if most is None else most
+    gs: list[tuple[int, ...]] = [()]
+    for _ in range(n):
+        gs = [g + (x,) for g in gs for x in range(min(len(set(g)) + 1, cap))]
+    return gs
 
 
 def _draw_labels(rng, n: int) -> tuple[int, ...]:

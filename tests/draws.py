@@ -1,4 +1,7 @@
-"""Random diagrams for the property tests."""
+"""Random diagrams for the property tests, and every coloring of one."""
+
+from itertools import product
+from typing import Iterator
 
 from particat.partition import BLACK, WHITE, Partition, _draw_labels
 
@@ -12,3 +15,10 @@ def random_partition(rng, k: int, l: int, colored: bool = False) -> Partition:
     if colored:
         colors = tuple(rng.choice((WHITE, BLACK)) for _ in range(k + l))
     return Partition(k, l, labels, colors)
+
+
+def colorings(p: Partition) -> Iterator[Partition]:
+    """p's labels in every coloring of its points, in product order."""
+    for colors in product((WHITE, BLACK), repeat=p.n_points):
+        yield Partition(p.upper, p.lower, p.labels, colors)
+

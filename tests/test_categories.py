@@ -14,6 +14,7 @@ import particat.partition as partition
 from particat.partition import (
     ColorError,
     Partition,
+    all_set_partitions,
     compose,
     empty_partition,
     identity,
@@ -24,6 +25,7 @@ from particat.partition import (
     tensor,
 )
 from particat.categories import (
+    BUILTIN_IDS,
     BoundsExceededError,
     CLOSURE_CAP,
     DEFAULT_MAX_POINTS,
@@ -38,7 +40,7 @@ from particat.categories import (
 )
 from particat.structure import upper_building
 
-from draws import random_partition
+from draws import colorings, random_partition
 
 NC = CategorySpec.named("nc")
 NC2 = CategorySpec.named("nc2")
@@ -546,6 +548,15 @@ class TestSpec:
             assert len({membership(spec, p) for spec in forms}) == 1
         assert CategorySpec(builtin="nc", generators=[]) == NC
 
+    def test_builtin_refuses_a_point_bound(self):
+        # a built-in holds every arity, so a bound would only split equal
+        # categories into unequal specs and separate cache entries
+        with pytest.raises(ValueError, match="take no point bound"):
+            CategorySpec(builtin="nc", max_points=6)
+        bounded = CategorySpec(builtin="nc", max_points=DEFAULT_MAX_POINTS)
+        assert bounded == NC and hash(bounded) == hash(NC)
+        assert category_from_name("nc", max_points=6) == NC
+
     @pytest.mark.parametrize("bound", [6.5, 6.0, "6", None])
     def test_bound_that_is_not_an_int_is_refused(self, bound):
         gens = (parse_partition("ab:ba"),)
@@ -571,6 +582,45 @@ class TestEnumerate:
     def test_growth_guard(self):
         with pytest.raises(BoundsExceededError):
             enumerate_in(P_ALL, 6, 5)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [CategorySpec.named(name) for name in BUILTIN_IDS]
+        + [
+            CategorySpec(generators=(FOURBLOCK,), max_points=6),
+            CategorySpec(generators=(parse_partition("aa@wb:@"),), max_points=6),
+        ],
+        ids=list(BUILTIN_IDS) + ["gen:aa:aa", "gen:aa@wb:@"],
+    )
+    def test_matches_brute_force_filter(self, spec):
+        # differential: enumerate_in's one member loop against the filter it
+        # replaced, every set partition in every coloring asked contains
+        for n in range(7):
+            for k in range(n + 1):
+                expected = [
+                    cand
+                    for labels in all_set_partitions(n)
+                    for cand in (
+                        colorings(Partition(k, n - k, labels))
+                        if spec.colored
+                        else [Partition(k, n - k, labels)]
+                    )
+                    if contains(spec, cand)
+                ]
+                expected.sort(key=Partition.sort_key)
+                assert enumerate_in(spec, k, n - k) == expected
+
+    @pytest.mark.parametrize(
+        "gen, first",
+        [("aa:aa", "aaa:aa"), ("aa@wb:@", "aaa@www:aa@ww")],
+    )
+    def test_past_the_bound_names_the_first_candidate(self, gen, first):
+        spec = CategorySpec(generators=(parse_partition(gen),), max_points=4)
+        with pytest.raises(UndecidableMembershipError) as info:
+            enumerate_in(spec, 3, 2)
+        assert str(info.value) == (
+            f"{first} has 5 points, beyond the bound 4 of the generated category"
+        )
 
 
 class TestProjectives:

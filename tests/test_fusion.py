@@ -533,6 +533,18 @@ class TestLabelText:
     def test_text_equals_value(self):
         assert labelled_fusion("S", "2", "3") == labelled_fusion("S", 2, 3)
         assert label_to_partition("O", "2") == label_to_partition("O", 2)
+
+    def test_word_labels_tensor_their_letters(self):
+        # one letter map: 0 -> aa:aa, 1 -> a:a, w -> a@w:a@w, b -> a@b:a@b
+        pinned = {
+            ("H", "0110"): "aabcdd:aabcdd",
+            ("H", ""): ":",
+            ("U", "3w1b"): "abcd@wwwb:abcd@wwwb",
+            ("U", "wb"): "ab@wb:ab@wb",
+            ("U", ""): "@:@",
+        }
+        for (scheme, label), text in pinned.items():
+            assert serialize(label_to_partition(scheme, label)) == text
         assert labelled_fusion("U", "2w", "1b") == labelled_fusion("U", "ww", "b")
 
     @pytest.mark.parametrize(
@@ -686,6 +698,56 @@ class TestFreenessProbe:
         assert len(report["letters"]) == 1
         assert report["fusion"]["0,0"] == 0
         assert report["labels_injective"]
+
+    # the probe's reports as the per-letter scan gave them, before letters
+    # were read through the one class routine, _equivalence_classes
+    PINNED = {
+        "nc": {
+            "letters": ["a:a"], "involution": {0: 0}, "fusion": {"0,0": 0},
+        },
+        "nc2": {
+            "letters": ["a:a"], "involution": {0: 0}, "fusion": {"0,0": None},
+        },
+        "nceven": {
+            "letters": ["a:a", "aa:aa"],
+            "involution": {0: 0, 1: 1},
+            "fusion": {"0,0": 1, "0,1": 0, "1,0": 0, "1,1": 1},
+        },
+        "ucol": {
+            "letters": ["a@b:a@b", "a@w:a@w"],
+            "involution": {0: 1, 1: 0},
+            "fusion": {"0,0": None, "0,1": None, "1,0": None, "1,1": None},
+        },
+        "gen[@:aaaa@wbwb]<= 8": {
+            "letters": ["a@b:a@b", "a@w:a@w", "aa@bw:aa@bw", "aa@wb:aa@wb"],
+            "involution": {0: 1, 1: 0, 2: 2, 3: 3},
+            "fusion": {
+                "0,0": None, "0,1": 2, "0,2": None, "0,3": 0,
+                "1,0": 3, "1,1": None, "1,2": 1, "1,3": None,
+                "2,0": 0, "2,1": None, "2,2": 2, "2,3": None,
+                "3,0": None, "3,1": 1, "3,2": None, "3,3": 3,
+            },
+        },
+    }
+
+    @pytest.mark.parametrize(
+        "spec, max_arity",
+        [(NC, 3), (NC2, 3), (NCEVEN, 3), (UCOL, 3)]
+        + [(CategorySpec(
+            generators=(parse_partition("@:aaaa@wbwb"),), max_points=8
+        ), 2)],
+        ids=["nc", "nc2", "nceven", "ucol", "gen:@:aaaa@wbwb"],
+    )
+    def test_reports_unchanged(self, spec, max_arity):
+        name = spec.name()
+        assert freeness_probe(spec, max_arity) == {
+            "category": name,
+            "block_stable": True,
+            **self.PINNED[name],
+            "labels_injective": True,
+            "letters_complete": True,
+            "max_arity": max_arity,
+        }
 
     def test_no_projectivity_rechecks(self, monkeypatch):
         # letters and class representatives are projective by construction,

@@ -583,6 +583,31 @@ class TestClassProjection:
         recs = class_projection(UCOL, k, N)
         assert sum(r["rank_class"] for r in recs) == 2**k * N**k
 
+    @pytest.mark.parametrize(
+        "name, k, N",
+        [
+            (name, k, N)
+            for name in ("nc", "nc2", "ncb", "nceven", "p", "p2", "ucol")
+            for k in range(3 if name == "ucol" else 4)
+            for N in (2, 3)
+        ]
+        + [("nc", 4, 3)],
+    )
+    def test_class_ranks_match_gram_schmidt(self, name, k, N):
+        # differential: the class rank comes from the one echelon; the
+        # Gram-Schmidt length of the joined image bases, per color word,
+        # is the oracle it replaced
+        spec = CategorySpec.named(name)
+        for rec in class_projection(spec, k, N):
+            words = by_word(
+                rec["members"],
+                lambda q: mm._image_basis(q, mm._check_caps(spec, q, N), N),
+            )
+            assert rec["rank_class"] == sum(
+                len(linalg.orthogonal_basis(u for b in bases for u, _ in b))
+                for bases in words.values()
+            )
+
     def test_class_projections_orthogonal(self):
         recs = class_projection(NC, 2, 4)
         projs = [class_projection_matrix(NC, r, 4)[None] for r in recs]

@@ -34,7 +34,6 @@ from particat.partition import (
 from particat import partition as partition_module, structure
 from particat.categories import (
     CategorySpec,
-    _colorings,
     _diagrams,
     _projectives_uncached,
     enumerate_in,
@@ -44,7 +43,7 @@ from particat.matrix_model import t_map_rank
 from particat.structure import to_through_partition, upper_building
 from particat.verify import _partitions_up_to
 
-from draws import random_partition
+from draws import colorings, random_partition
 
 P1 = parse_partition("aab:accc")  # three blocks, one through
 P2_CROSSING = Partition.make(2, 2, [(0, 3), (1, 2)])
@@ -843,6 +842,17 @@ class TestLabelReader:
             grouped = [Partition(0, n, rgs).blocks for rgs in all_set_partitions(n)]
             assert grouped == list(set_partitions_by_emit(n))
 
+    def test_bounded_set_partitions_filter_the_full_list(self):
+        # the block bound prunes the level-by-level build; the result is the
+        # full list filtered, in the same order, and a list either way
+        for n in range(9):
+            full = all_set_partitions(n)
+            assert isinstance(full, list)
+            for most in range(n + 2):
+                bounded = all_set_partitions(n, most)
+                assert isinstance(bounded, list)
+                assert bounded == [g for g in full if max(g, default=-1) < most]
+
     @settings(max_examples=200, deadline=None)
     @given(colored_partitions())
     def test_round_trip(self, p):
@@ -989,7 +999,7 @@ def square_diagrams(max_points: int, colored: bool):
     for k in range(max_points // 2 + 1):
         for labels in all_set_partitions(2 * k):
             p = Partition(k, k, labels)
-            yield from _colorings(p) if colored else [p]
+            yield from colorings(p) if colored else [p]
 
 
 class TestPredicates:
@@ -1164,7 +1174,7 @@ class TestTrustedConstruction:
         assert p in diagrams
         for q in diagrams:
             assert_canonical(q)
-        for q in _colorings(Partition.make(p.upper, p.lower, p.blocks)):
+        for q in colorings(Partition.make(p.upper, p.lower, p.blocks)):
             assert_canonical(q)
 
     @pytest.mark.parametrize(

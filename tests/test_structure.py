@@ -52,14 +52,13 @@ from particat.categories import (
     BUILTIN_IDS,
     BoundsExceededError,
     CategorySpec,
-    _colorings,
     contains,
     is_noncrossing_spec,
     projectives,
 )
 from particat.verify import _partitions_up_to
 
-from draws import random_partition
+from draws import colorings, random_partition
 
 P1 = parse_partition("aab:accc")
 FOURBLOCK = parse_partition("aa:aa")
@@ -269,7 +268,7 @@ class TestThroughBlockDecomposition:
         # q is the upper building diagram of p turned over, read off p's
         # lower-row labels without turning p over
         diagrams = list(_partitions_up_to(6))
-        diagrams += [c for p in _partitions_up_to(4) for c in _colorings(p)]
+        diagrams += [c for p in _partitions_up_to(4) for c in colorings(p)]
         calls = count_calls(monkeypatch, ["involution"])
         decomposed = [through_block_decomposition(p) for p in diagrams]
         assert calls == {"involution": 0}
