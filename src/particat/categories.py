@@ -211,17 +211,6 @@ _BUILTINS: dict[str, _Builtin] = {
 BUILTIN_IDS = tuple(_BUILTINS)
 
 
-def _builtin_contains(builtin: str, p: Partition) -> bool:
-    rule = _BUILTINS[builtin]
-    if p.colored != rule.colored:
-        raise ColorError(
-            "the colored pair category needs colored diagrams"
-            if rule.colored
-            else f"category {builtin!r} holds uncolored diagrams"
-        )
-    return rule.blocks_ok(p) and (rule.crossing or is_noncrossing(p))
-
-
 # ---------------------------------------------------------------------------
 # bounded closure of generated categories
 
@@ -348,7 +337,14 @@ def membership(spec: CategorySpec, p: Partition) -> Optional[bool]:
     generated category checks the color mode and the bound before it reads
     the closure its spec keeps (:class:`CategorySpec`)."""
     if spec.builtin is not None:
-        return _builtin_contains(spec.builtin, p)
+        rule = _BUILTINS[spec.builtin]
+        if p.colored != rule.colored:
+            raise ColorError(
+                "the colored pair category needs colored diagrams"
+                if rule.colored
+                else f"category {spec.builtin!r} holds uncolored diagrams"
+            )
+        return rule.blocks_ok(p) and (rule.crossing or is_noncrossing(p))
     if (p.colors is not None) != spec.colored:
         raise ColorError("diagram color mode does not match the category")
     if p.upper + p.lower > spec.max_points:

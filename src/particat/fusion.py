@@ -138,10 +138,6 @@ class FusionResult:
     def partitions(self) -> list[Partition]:
         return [p for p, _ in self.members]
 
-    @property
-    def t_values(self) -> list[int]:
-        return [t for _, t in self.members]
-
 
 # ---------------------------------------------------------------------------
 # partition-level fusion
@@ -497,13 +493,13 @@ def freeness_probe(spec: CategorySpec, max_arity: int = 3) -> dict:
     :func:`~particat.categories.contains` does, instead of a guessed entry.
     """
     # block stability over all members at small sizes
-    block_stable = True
-    for n in range(0, 2 * max_arity + 1):
-        for k in range(n + 1):
-            for p in enumerate_in(spec, k, n - k):
-                for b in p.blocks:
-                    if not contains(spec, _block_as_partition(p, b)):
-                        block_stable = False
+    block_stable = all(
+        contains(spec, _block_as_partition(p, b))
+        for n in range(0, 2 * max_arity + 1)
+        for k in range(n + 1)
+        for p in enumerate_in(spec, k, n - k)
+        for b in p.blocks
+    )
 
     single_blocks = [
         p
@@ -536,22 +532,18 @@ def freeness_probe(spec: CategorySpec, max_arity: int = 3) -> dict:
             )
 
     # labels embed into words over the letters
-    injective = True
-    complete = True
+    injective = complete = True
     for k in range(1, max_arity + 1):
-        words_seen: dict[tuple, list[Partition]] = {}
+        words = []
         for rec in decompose_power(spec, k):
             rep = rec["representative"]
             blocks = rep.blocks  # a block's label is its index
-            word = tuple(
+            words.append(tuple(
                 letter_of(_block_as_partition(rep, blocks[x]))
                 for x in sorted(_through(rep))
-            )
-            if None in word:
-                complete = False
-            words_seen.setdefault(word, []).append(rep)
-        if any(len(v) > 1 for v in words_seen.values()):
-            injective = False
+            ))
+        complete = complete and all(None not in w for w in words)
+        injective = injective and len(set(words)) == len(words)
 
     return {
         "category": spec.name(),

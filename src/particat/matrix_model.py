@@ -184,7 +184,7 @@ def check_functor(bottom: Partition, top: Partition, N: int) -> dict:
     """Exact verification of the three structure rules on one pair.
 
     involution -> transpose, tensor -> Kronecker product, and composition ->
-    matrix product up to the factor N^(removed loops); for a projective
+    matrix product up to the factor N^(removed loops); for an idempotent
     ``bottom`` the idempotence rule with its loop factor is checked as well.
     The tensor rule is skipped when the doubled arity would exceed the row
     cap.
@@ -244,9 +244,9 @@ def _map_family_rank(spec: CategorySpec, k: int, N: int) -> tuple[int, int]:
     column: dict[tuple[int, ...], int] = {}
     ech = linalg.SparseEchelon()
     for q in members:
-        b = max(q.labels, default=-1) + 1
+        b = q.n_blocks
         if b not in merges:
-            merges[b] = all_set_partitions(b, N)
+            merges[b] = list(all_set_partitions(b, N))
         keys = (tuple(map(g.__getitem__, q.labels)) for g in merges[b])
         ech.insert({column.setdefault(r, len(column)): 1 for r in keys})
     return len(members), ech.rank

@@ -42,7 +42,7 @@ and flip when a point changes row under rotation.
 from __future__ import annotations
 
 import string
-from typing import Iterable, Literal, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Literal, NamedTuple, Optional, Sequence
 
 __all__ = [
     "Partition",
@@ -556,16 +556,17 @@ def parse_partition(text: str) -> Partition:
 # enumeration and random generation
 
 
-def all_set_partitions(n: int, most: Optional[int] = None) -> list[tuple[int, ...]]:
-    """The list of set partitions of 0..n-1 into at most ``most`` blocks
-    (any number when None) as restricted growth strings: a block label per
-    point, the blocks numbered by first appearance, as
-    :attr:`Partition.labels` holds them.  Built level by level, one point
-    at a time, in lexicographic order; n = 0 gives [()]."""
+def all_set_partitions(n: int, most: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """The set partitions of 0..n-1 into at most ``most`` blocks (any number
+    when None), one at a time, as restricted growth strings: a block label
+    per point, the blocks numbered by first appearance, as
+    :attr:`Partition.labels` holds them.  A chain of n generators, one per
+    point, walks them in lexicographic order holding one prefix each; n = 0
+    gives ()."""
     cap = n if most is None else most
-    gs: list[tuple[int, ...]] = [()]
+    gs: Iterator[tuple[int, ...]] = iter([()])
     for _ in range(n):
-        gs = [g + (x,) for g in gs for x in range(min(len(set(g)) + 1, cap))]
+        gs = (g + (x,) for g in gs for x in range(min(len(set(g)) + 1, cap)))
     return gs
 
 

@@ -226,7 +226,13 @@ def through_block_decomposition(p: Partition) -> ThroughBlockDecomposition:
 # domination order
 
 
-def _check_projective_pair(p: Partition, q: Partition) -> None:
+def dominates(p: Partition, q: Partition) -> bool:
+    """True when pq = q (equivalently qp = q): q sits below p.
+
+    Decided on the labels: the partition of p's upper row refines that of
+    q's, and every non-through block of p is also a block of q.  Library
+    loops read each dominator once (:func:`_dominator`) and test many q.
+    """
     if p.upper != p.lower or q.upper != q.lower:
         raise ArityError("domination needs square diagrams")
     if p.upper != q.upper:
@@ -237,16 +243,6 @@ def _check_projective_pair(p: Partition, q: Partition) -> None:
         raise ColorError("domination compares colored with uncolored")
     if p.colors != q.colors:
         raise ColorError("domination compares equal color words only")
-
-
-def dominates(p: Partition, q: Partition) -> bool:
-    """True when pq = q (equivalently qp = q): q sits below p.
-
-    Decided on the labels: the partition of p's upper row refines that of
-    q's, and every non-through block of p is also a block of q.  Library
-    loops read each dominator once (:func:`_dominator`) and test many q.
-    """
-    _check_projective_pair(p, q)
     return _dominator(p)(q)
 
 

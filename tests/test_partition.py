@@ -2,7 +2,7 @@
 
 import random
 import sys
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -843,15 +843,18 @@ class TestLabelReader:
             assert grouped == list(set_partitions_by_emit(n))
 
     def test_bounded_set_partitions_filter_the_full_list(self):
-        # the block bound prunes the level-by-level build; the result is the
-        # full list filtered, in the same order, and a list either way
+        # the block bound prunes the walk; the result is the full walk
+        # filtered, in the same order, and a lazy iterator either way
         for n in range(9):
             full = all_set_partitions(n)
-            assert isinstance(full, list)
+            assert isinstance(full, Iterator)
+            full = list(full)
             for most in range(n + 2):
                 bounded = all_set_partitions(n, most)
-                assert isinstance(bounded, list)
-                assert bounded == [g for g in full if max(g, default=-1) < most]
+                assert isinstance(bounded, Iterator)
+                assert list(bounded) == [
+                    g for g in full if max(g, default=-1) < most
+                ]
 
     @settings(max_examples=200, deadline=None)
     @given(colored_partitions())
