@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 import numpy as np
@@ -61,62 +62,28 @@ PROJECTION_ENTRIES_CAP = 2 * 10**7
 
 
 # ---------------------------------------------------------------------------
-# signature machinery
-#
-# For one row of a diagram, every assignment of values 0..N-1 to the row's
-# points either violates some block (two points of one block with different
-# values) or induces one value per through-block.  The row's signature holds
-# per assignment those values as a single base-N code, or -1 for a violating
-# one; the matrix entry (j, i) is then "codes equal and not -1".
-#
-# The signature depends only on the row's pattern: each point of the row is
-# tagged 2 * (index of its block among the blocks meeting the row, in label
-# order) + (1 for a through-block).  Through-blocks keep the label order on
-# both rows, so the upper and the lower codes line up.  Ranks need no
-# signature (t_map_rank, _map_family_rank); maps and projection columns do.
+# rows
 
 
-# keyed by (N, *pattern); the only cache of the matrix model
-_SIGNATURES: dict[tuple[int, ...], np.ndarray] = {}
+@cache
+def _row(
+    labels: tuple[int, ...], through: tuple[int, ...], N: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The value assignments of the blocks meeting a row with these labels,
+    each read as its multi-index (a point takes its block's value) and as
+    the code of the through-blocks' values, in label order on both rows;
+    the map's (j, i) entry is 1 where the codes agree.  Read-only: a memo."""
+    place = {x: r for r, x in enumerate(sorted(set(labels)))}
+    b = len(place)
+    values = np.indices((N,) * b).reshape(b, N**b)
 
+    def code(xs: tuple[int, ...]) -> np.ndarray:
+        return N ** np.arange(len(xs))[::-1] @ values[[place[x] for x in xs]]
 
-def _row_pattern(p: Partition, upper: bool) -> tuple[int, ...]:
-    """The tags of the upper (or lower) row's points, left to right."""
-    k = p.upper
-    row, other = p.labels[:k], p.labels[k:]
-    if not upper:
-        row, other = other, row
-    tag = {x: 2 * r + (x in other) for r, x in enumerate(sorted(set(row)))}
-    return tuple(map(tag.__getitem__, row))
-
-
-def _row_signature(pattern: tuple[int, ...], N: int) -> np.ndarray:
-    """The code of every assignment to a row of this pattern, -1 where the
-    assignment violates a block.  Every map and projection column starts
-    here on a cache miss, so this is where they refuse a bad N and a row
-    past the rows cap."""
-    n = len(pattern)
-    _check_rows(n, N)
-    digits = np.indices((N,) * n, dtype=np.int64).reshape(n, N**n)
-    valid = np.ones(N**n, dtype=bool)
-    code = np.zeros(N**n, dtype=np.int64)
-    for tag in sorted(set(pattern)):  # block order
-        first, *rest = [pos for pos, x in enumerate(pattern) if x == tag]
-        for pos in rest:
-            valid &= digits[first] == digits[pos]
-        if tag % 2:
-            code = code * N + digits[first]
-    code[~valid] = -1
-    return code
-
-
-def _signature(p: Partition, upper: bool, N: int) -> np.ndarray:
-    """The signature of one row of p, computed once per pattern and N."""
-    key = (N, *_row_pattern(p, upper))
-    sig = _SIGNATURES.get(key)
-    if sig is None:
-        sig = _SIGNATURES[key] = _row_signature(key[1:], N)
-    return sig
+    j, tau = code(labels), code(through)
+    j.setflags(write=False)
+    tau.setflags(write=False)
+    return j, tau
 
 
 def _check_rows(n: int, N: int) -> None:
@@ -137,8 +104,14 @@ def t_map(p: Partition, N: int) -> np.ndarray:
     factor N^loops of a composition is at most N^mid, since every removed
     loop uses up a middle point.
     """
-    code_i, code_j = _signature(p, True, N), _signature(p, False, N)
-    return ((code_j[:, None] == code_i) & (code_i >= 0)).astype(np.int64)
+    k, l = p.upper, p.lower
+    _check_rows(k if k > l else l, N)
+    through = tuple(sorted(_through(p)))
+    i, tau_i = _row(p.labels[:k], through, N)
+    j, tau_j = _row(p.labels[k:], through, N)
+    m = np.zeros((N**l, N**k), dtype=np.int64)
+    m[j[:, None], i] = tau_j[:, None] == tau_i
+    return m
 
 
 def t_map_rank(p: Partition, N: int) -> int:
@@ -164,20 +137,17 @@ def _columns(members: list[Partition], N: int) -> list[dict[int, int]]:
     per through-block code, all N^t of them realized (see t_map_rank)."""
     cols = []
     for q in members:
-        code_j = _signature(q, False, N)
+        through = tuple(sorted(_through(q)))
+        j, tau = _row(q.labels[q.upper:], through, N)
         cols += [
-            dict.fromkeys(np.flatnonzero(code_j == tau).tolist(), 1)
-            for tau in range(N ** stats(q).t)
+            dict.fromkeys(j[tau == c].tolist(), 1)
+            for c in range(N ** len(through))
         ]
     return cols
 
 
 # ---------------------------------------------------------------------------
 # functoriality
-
-
-def _eq(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and bool(np.array_equal(a, b))
 
 
 def check_functor(bottom: Partition, top: Partition, N: int) -> dict:
@@ -195,19 +165,19 @@ def check_functor(bottom: Partition, top: Partition, N: int) -> dict:
         "N": N,
         "bottom": serialize(bottom),
         "top": serialize(top),
-        "involution_rule": _eq(t_map(involution(bottom), N), tb.T)
-        and _eq(t_map(involution(top), N), tt.T),
+        "involution_rule": np.array_equal(t_map(involution(bottom), N), tb.T)
+        and np.array_equal(t_map(involution(top), N), tt.T),
     }
     both = tensor(bottom, top)
     if N ** max(both.upper, both.lower) <= MATRIX_ROWS_CAP:
-        report["tensor_rule"] = _eq(t_map(both, N), np.kron(tb, tt))
+        report["tensor_rule"] = np.array_equal(t_map(both, N), np.kron(tb, tt))
     if bottom.upper == top.lower and (
         bottom.colored == top.colored
         and (not bottom.colored or bottom.upper_colors() == top.lower_colors())
     ):
         comp, loops = compose(bottom, top)
         assert N**loops <= N**bottom.upper <= MATRIX_ROWS_CAP  # int64 bound
-        report["composition_rule"] = _eq(
+        report["composition_rule"] = np.array_equal(
             tb @ tt, (N**loops) * t_map(comp, N)
         )
         report["removed_loops"] = loops
@@ -218,7 +188,9 @@ def check_functor(bottom: Partition, top: Partition, N: int) -> dict:
     ):
         sq, loops = compose(bottom, bottom)
         if sq == bottom:
-            report["idempotent_rule"] = _eq(tb @ tb, (N**loops) * tb)
+            report["idempotent_rule"] = np.array_equal(
+                tb @ tb, (N**loops) * tb
+            )
     report["passed"] = all(
         v for key, v in report.items()
         if key.endswith("_rule")
@@ -394,12 +366,16 @@ def psi_check(spec: CategorySpec, p: Partition, N: int) -> dict:
     comp = {sigma: compressed(p_sigma(p, sigma)) for sigma in group}
     l_over_d, lc = (lcm(*d) // d)[:, None], lcm(*d) * c
     multiplicative = all(
-        _eq(comp[a] @ (l_over_d * comp[b]), lc * comp[tuple(a[x] for x in b)])
+        np.array_equal(
+            comp[a] @ (l_over_d * comp[b]), lc * comp[tuple(a[x] for x in b)]
+        )
         for a in group
         for b in group
     )
     identity_perm = tuple(range(len(group[0])))
-    identity_maps_to_projection = _eq(comp[identity_perm], c * np.diag(d))
+    identity_maps_to_projection = np.array_equal(
+        comp[identity_perm], c * np.diag(d)
+    )
 
     vectors = [
         compressed(q).ravel()
@@ -440,10 +416,10 @@ class BrauerElement:
         return BrauerElement(arity, tuple(items))
 
 
-def brauer_element(p: Partition, coeff=1) -> BrauerElement:
+def brauer_element(p: Partition) -> BrauerElement:
     if p.upper != p.lower:
         raise ArityError("algebra elements live on square diagrams")
-    return BrauerElement.from_dict(p.upper, {p: Fraction(coeff)})
+    return BrauerElement(p.upper, ((p, Fraction(1)),))
 
 
 def brauer_product(

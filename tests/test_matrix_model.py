@@ -1,7 +1,6 @@
 """Exact matrix realization: ranks, functoriality, projections, algebra."""
 
 import random
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -89,6 +88,14 @@ def row_signatures_oracle(p, upper, N):
             if b[0] < k <= b[-1]:
                 code = code * N + digits[here[0]]
     return valid, code
+
+
+def map_oracle(p, N):
+    """The map by its definition: (j, i) is 1 exactly when both assignments
+    respect every block and give each through-block one value."""
+    valid_i, code_i = row_signatures_oracle(p, True, N)
+    valid_j, code_j = row_signatures_oracle(p, False, N)
+    return valid_j[:, None] & valid_i & (code_j[:, None] == code_i)
 
 
 def rank_by_unique(p, N):
@@ -307,6 +314,28 @@ class TestTMap:
         with pytest.raises(BoundsExceededError, match="rows or columns"):
             t_map(identity(7), 4)
 
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_entries_match_definition(self, N):
+        # entry by entry, on every small diagram and on a coloring of it:
+        # the maps ignore colors
+        rng = rand_rng()
+        for p in every_diagram(4, 8):
+            colors = tuple(rng.choice("wb") for _ in range(p.n_points))
+            want = map_oracle(p, N)
+            for q in (p, p._replace(colors=colors)):
+                got = t_map(q, N)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, want), (q, N)
+
+    def test_large_entries_match_definition(self):
+        # rows of five and six points at N = 3, up to 729 x 729
+        rng = rand_rng()
+        for k, l in ((5, 5), (6, 5), (5, 6), (6, 6), (6, 0), (1, 6)):
+            p = random_partition(rng, k, l)
+            got = t_map(p, 3)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, map_oracle(p, 3)), p
+
 
 class TestCachedRank:
     def test_matches_oracle_four_per_row(self):
@@ -321,41 +350,34 @@ class TestCachedRank:
     def test_matches_oracle_five_per_row(self, p, N):
         assert t_map_rank(p, N) == rank_by_unique(p, N)
 
-    def test_rank_builds_no_signature(self, monkeypatch):
+    def test_rank_builds_no_row(self, monkeypatch):
         # an op budget of zero: the rank is read off the blocks
-        def no_signature(pattern, N):
-            raise AssertionError("t_map_rank built a row signature")
+        def no_row(*args):
+            raise AssertionError("t_map_rank built a row")
 
-        monkeypatch.setattr(mm, "_row_signature", no_signature)
-        monkeypatch.setattr(mm, "_SIGNATURES", {})
+        monkeypatch.setattr(mm, "_row", no_row)
         for N in (2, 3):
             for p in every_diagram(7, 7):
                 t_map_rank(p, N)
 
-    @pytest.mark.parametrize(
-        "fn,cache,max_points",
-        [(t_map, "_SIGNATURES", 5)],
-        ids=["t_map"],
-    )
-    def test_signatures_once_per_pattern(self, monkeypatch, fn, cache, max_points):
-        calls: Counter = Counter()
-        signature = mm._row_signature
-
-        def counting(pattern, N):
-            calls[(N, *pattern)] += 1
-            return signature(pattern, N)
-
-        monkeypatch.setattr(mm, "_row_signature", counting)
-        monkeypatch.setattr(mm, cache, {})
-        pool = list(every_diagram(max_points, max_points))
+    def test_row_once_per_key(self):
+        # the memo builds each row once per (labels, through-blocks, N)
+        mm._row.cache_clear()
         keys = set()
         for N in (2, 3):
-            for p in pool:
-                fn(p, N)
-                fn(p, N)
-                for upper in (True, False):
-                    keys.add((N, *mm._row_pattern(p, upper)))
-        assert calls == Counter(keys)
+            for p in every_diagram(5, 5):
+                t_map(p, N)
+                t_map(p, N)
+                upper, lower = p.labels[: p.upper], p.labels[p.upper :]
+                through = tuple(sorted(set(upper) & set(lower)))
+                keys |= {(upper, through, N), (lower, through, N)}
+        assert mm._row.cache_info().misses == len(keys)
+
+    def test_rows_read_only(self):
+        # a caller cannot write into the memo
+        for a in mm._row((0, 1, 0), (0,), 2):
+            with pytest.raises(ValueError):
+                a[0] = 5
 
     def test_t_map_is_int64(self):
         for p in every_diagram(3, 6):
@@ -505,12 +527,12 @@ class TestIndependence:
         assert (report["count"], report["rank"]) == (count, rank)
 
     def test_family_rank_builds_no_map(self, monkeypatch):
-        # op budget: no diagram map and no row signature is built
+        # op budget: no diagram map and no row is built
         def refuse(*args):
             raise AssertionError("a diagram map was built")
 
         monkeypatch.setattr(mm, "t_map", refuse)
-        monkeypatch.setattr(mm, "_row_signature", refuse)
+        monkeypatch.setattr(mm, "_row", refuse)
         assert independent(NC, 3, 4)["rank"] == 132
         assert brauer_kernel_dim(P_ALL, 2, 2) == 7
 
